@@ -264,14 +264,6 @@ def expand_examples(sequence: SessionSequence, loss_window: int) -> list[Trainin
     return out
 
 
-def expand_dataset(dataset: Dataset, split_name: str, loss_window: int) -> list[TrainingExample]:
-    """All examples of one split, sequence order preserved."""
-    out = []
-    for seq in dataset.sequences_in(split_name):
-        out.extend(expand_examples(seq, loss_window))
-    return out
-
-
 def load_interactions_csv(
     path,
     reward_click: float = DEFAULT_REWARD_CLICK,

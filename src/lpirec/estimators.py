@@ -10,7 +10,7 @@ a tabular mirror of the double-Q TD loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -380,7 +380,9 @@ def projected_gradient_policy(
     each row's step starts at ``step``, halves until the row's objective
     improves, and regrows toward ``step`` after acceptance. Off-support
     entries (behavior zero, or zero surrogate coefficient) are pinned to 0.
-    Stops early once no row improves measurably.
+    Rows are independent problems, so a row for which no step improves has
+    reached its optimum to working precision and takes no part in later
+    iterations. Stops once every row has, or once no row improves measurably.
     """
     mu = instance.behavior
     r = instance.rewards
@@ -425,11 +427,12 @@ def projected_gradient_policy(
     policy /= policy.sum(axis=1, keepdims=True)
     row_steps = np.full(policy.shape[0], step)
     current = row_objective(policy)
+    active = np.ones(policy.shape[0], dtype=bool)
     stall = 0
     for _ in range(iterations):
         grad = row_gradient(policy)
         trial = row_steps.copy()
-        accepted = np.zeros(policy.shape[0], dtype=bool)
+        accepted = ~active
         best_gain = 0.0
         for _ in range(60):
             pending = ~accepted
@@ -449,21 +452,11 @@ def projected_gradient_policy(
             trial = np.where(accepted, trial, trial / 2.0)
             if trial[~accepted].size and trial[~accepted].max() < 1e-18:
                 break
+        active &= accepted
+        if not active.any():
+            break
         stall = stall + 1 if best_gain < 1e-13 else 0
         if stall >= 10:
             break
     return policy
 
-
-# -- behavior estimation on sequence data ---------------------------------------
-
-
-def estimate_logging_policy(dataset, config):
-    """Fit a frozen behavior-cloning model on the dataset's training sequences.
-
-    Thin wrapper over the training module's behavior fitter so estimator
-    consumers need not import the trainer directly.
-    """
-    from .training import fit_behavior_model
-
-    return fit_behavior_model(dataset, config)

@@ -18,6 +18,7 @@ from .estimators import SupportViolationError
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
 DEFAULT_DIVERGENCE_CAP = 50_000
+_DIVERGENCE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -175,26 +176,40 @@ def iar_at_1(model, heldout, imputation) -> float:
 # -- divergences -------------------------------------------------------------------
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p * (log p - log q) with 0 log 0 = 0; q must cover p's support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    bad = np.flatnonzero((p > 0) & (q <= 0))
+def _kl_rows(p: np.ndarray, q: np.ndarray, first_context: int | None = None) -> np.ndarray:
+    """KL(p_i | q_i) for each row i, 0 log 0 = 0; q must cover p's support.
+
+    A violation in row i names context ``first_context + i`` when it is given.
+    """
+    support = p > 0
+    bad = np.argwhere(support & (q <= 0))
     if bad.size:
+        row, index = (int(v) for v in bad[0])
+        where = "" if first_context is None else f"context {first_context + row}: "
         raise SupportViolationError(
-            f"second distribution has zero mass at index {int(bad[0])} "
+            f"{where}second distribution has zero mass at index {index} "
             "inside the first distribution's support"
         )
-    mask = p > 0
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
+    log_ratio = np.log(p, out=np.zeros_like(p), where=support)
+    log_ratio -= np.log(q, out=np.zeros_like(q), where=support)
+    log_ratio *= p
+    return log_ratio.sum(axis=1)
+
+
+def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(KL(p_i|m_i) + KL(q_i|m_i)) / 2 per row, m the midpoint; never raises."""
+    m = 0.5 * (p + q)
+    return 0.5 * _kl_rows(p, m) + 0.5 * _kl_rows(q, m)
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p * (log p - log q) with 0 log 0 = 0; q must cover p's support."""
+    return float(_kl_rows(np.asarray(p, dtype=float)[None], np.asarray(q, dtype=float)[None])[0])
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """(KL(p|m) + KL(q|m)) / 2 with m the midpoint; bounded by [0, ln 2]."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
+    return float(_js_rows(np.asarray(p, dtype=float)[None], np.asarray(q, dtype=float)[None])[0])
 
 
 def mean_divergence(
@@ -210,7 +225,8 @@ def mean_divergence(
     Both arguments expose probs(contexts) -> (n, catalog). When more than
     ``cap`` contexts are given, a seeded subsample of ``cap`` of them is used.
     Returns (mean, standard_error). KL support violations name the offending
-    context's position.
+    context's position. Contexts are scored in chunks of _DIVERGENCE_CHUNK, so
+    memory does not grow with their number.
     """
     if kind not in ("kl", "js"):
         raise ValueError(f"divergence kind must be kl or js, got {kind!r}")
@@ -222,14 +238,14 @@ def mean_divergence(
         keep = rng.choice(len(contexts), size=cap, replace=False)
         keep.sort()
         contexts = [contexts[i] for i in keep]
-    p = np.asarray(model.probs(contexts), dtype=float)
-    q = np.asarray(logging_estimate.probs(contexts), dtype=float)
     values = np.empty(len(contexts))
-    for i in range(len(contexts)):
-        try:
-            values[i] = js_divergence(p[i], q[i]) if kind == "js" else kl_divergence(p[i], q[i])
-        except SupportViolationError as exc:
-            raise SupportViolationError(f"context {i}: {exc}") from exc
+    for start in range(0, len(contexts), _DIVERGENCE_CHUNK):
+        chunk = contexts[start : start + _DIVERGENCE_CHUNK]
+        p = np.asarray(model.probs(chunk), dtype=float)
+        q = np.asarray(logging_estimate.probs(chunk), dtype=float)
+        values[start : start + len(chunk)] = (
+            _js_rows(p, q) if kind == "js" else _kl_rows(p, q, first_context=start)
+        )
     summary = summarize(values)
     return summary.value, (summary.stderr if summary.stderr is not None else 0.0)
 

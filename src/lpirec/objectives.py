@@ -27,7 +27,7 @@ gradient explicitly; the named losses below are one-shot wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,18 +88,19 @@ class ExampleBatch:
     next_contexts: list[tuple[int, ...]]
     terminals: np.ndarray
     reward_to_go: np.ndarray
-    examples: list[TrainingExample] | None = None
-    padded: PaddedBatch | None = None
-    next_padded: PaddedBatch | None = None
+    _padding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.actions)
 
-    def pad(self, recency: float) -> None:
-        if self.padded is None:
-            self.padded = pad_contexts(self.contexts, recency)
-        if self.next_padded is None:
-            self.next_padded = pad_contexts(self.next_contexts, recency)
+    def pad(self, recency: float) -> tuple[PaddedBatch, PaddedBatch]:
+        """(contexts, next contexts) padded with ``recency``; built once per recency."""
+        if recency not in self._padding:
+            self._padding[recency] = (
+                pad_contexts(self.contexts, recency),
+                pad_contexts(self.next_contexts, recency),
+            )
+        return self._padding[recency]
 
 
 def discounted_reward_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
@@ -154,7 +155,6 @@ def build_batch(
         next_contexts=[ex.next_context for ex in examples],
         terminals=np.array([ex.terminal for ex in examples], dtype=bool),
         reward_to_go=np.asarray(reward_to_go, dtype=float),
-        examples=list(examples),
     )
     if recency is not None:
         batch.pad(recency)
@@ -222,7 +222,7 @@ def prepare_step(
     that use it. ``target_model`` supplies TD target values when
     td_weight > 0.
     """
-    batch.pad(model.config.recency)
+    padded, next_padded = batch.pad(model.config.recency)
     n = len(batch)
     rows = np.arange(n)
 
@@ -242,7 +242,7 @@ def prepare_step(
     elif config.kind == "pg":
         weights = batch.reward_to_go.copy()
     elif config.kind in RATIO_KINDS:
-        probs = softmax(model.policy_logits_from(model.encode(batch.padded)))
+        probs = softmax(model.policy_logits_from(model.encode(padded)))
         mu = behavior[rows, batch.actions]
         bad = np.flatnonzero(mu <= 0)
         if bad.size:
@@ -255,10 +255,10 @@ def prepare_step(
         base = batch.rewards if config.kind == "ips_ce" else batch.reward_to_go
         weights = ratios * base
     elif config.kind == "sac":
-        q = model.q_values_from(model.encode(batch.padded))
+        q = model.q_values_from(model.encode(padded))
         weights = q[rows, batch.actions]
     elif config.kind == "lpi":
-        q = model.q_values_from(model.encode(batch.padded))
+        q = model.q_values_from(model.encode(padded))
         baseline = (behavior * q).sum(axis=-1)
         advantage = q[rows, batch.actions] - baseline
         with np.errstate(over="ignore"):
@@ -272,9 +272,11 @@ def prepare_step(
     if config.td_weight > 0:
         if target_model is None:
             raise ValueError("td_weight > 0 requires a target model")
-        q_next_online = model.q_values_from(model.encode(batch.next_padded))
+        q_next_online = model.q_values_from(model.encode(next_padded))
         best_next = q_next_online.argmax(axis=-1)
-        q_next_target = target_model.q_values_from(target_model.encode(batch.next_padded))
+        q_next_target = target_model.q_values_from(
+            target_model.encode(batch.pad(target_model.config.recency)[1])
+        )
         bootstrap = q_next_target[rows, best_next]
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
@@ -294,7 +296,6 @@ class LossBatch:
     td_term: float
     weights: np.ndarray
     gradients: dict[str, np.ndarray]
-    examples: list[TrainingExample] | None = None
 
 
 def evaluate_prepared(
@@ -310,12 +311,11 @@ def evaluate_prepared(
     this function is an ordinary differentiable loss of the model parameters
     (finite differences against its gradients agree).
     """
-    batch.pad(model.config.recency)
     n = len(batch)
     if n == 0:
         raise ValueError("batch must be non-empty")
     rows = np.arange(n)
-    cache = model.encode(batch.padded)
+    cache = model.encode(batch.pad(model.config.recency)[0])
     logits = model.policy_logits_from(cache)
     log_probs = log_softmax(logits)
     weights = prepared.policy_weights
@@ -348,7 +348,6 @@ def evaluate_prepared(
         td_term=td_term,
         weights=weights,
         gradients=grads,
-        examples=batch.examples,
     )
 
 

@@ -126,16 +126,13 @@ class SequenceModel:
         if dlogits is not None:
             head = self.head_matrix()
             grads["head_b"] = dlogits.sum(axis=0)
-            dhead = dlogits.T @ cache.state
             key = "item_embeddings" if self.config.tie_weights else "head_W"
-            grads[key] = grads.get(key, 0.0) + dhead
+            grads[key] = dlogits.T @ cache.state
             dstate += dlogits @ head
         if dq is not None:
             grads["q_b"] = dq.sum(axis=0)
             grads["q_W"] = dq.T @ cache.state
             dstate += dq @ self.params["q_W"]
-        if isinstance(grads.get("item_embeddings"), np.ndarray):
-            grads["item_embeddings"] = np.array(grads["item_embeddings"])
         encode_backward(self.params, cache, dstate, grads)
         return grads
 

@@ -412,6 +412,17 @@ def weighted_mf_objective(model: ImputationModel, means: np.ndarray, observed: n
     return float((weights * (predictions - targets) ** 2).sum()) + reg
 
 
+def _ridge_rows(factors, weights, weighted_targets, eye) -> np.ndarray:
+    """Row r: the x minimizing sum_c weights[r, c] (targets[r, c] - factors[c] @ x)^2
+    + x @ eye @ x, with weighted_targets = weights * targets; all rows in one solve.
+    """
+    f = factors.shape[1]
+    outer = (factors[:, :, None] * factors[:, None, :]).reshape(len(factors), f * f)
+    grams = (weights @ outer).reshape(len(weights), f, f) + eye
+    rhs = weighted_targets @ factors
+    return np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
+
+
 def fit_weighted_mf(
     ratings,
     f: int = 4,
@@ -437,22 +448,16 @@ def fit_weighted_mf(
         raise ValueError("factor rank must be >= 1")
     means, observed = _imputation_arrays(ratings, n_users, n_items)
     bias = float(means[observed].mean())
-    targets = np.where(observed, means, missing_target) - bias
     weights = np.where(observed, 1.0, missing_weight)
+    weighted_targets = weights * (np.where(observed, means, missing_target) - bias)
 
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((means.shape[0], f)) * 0.1
     v = rng.standard_normal((means.shape[1], f)) * 0.1
     eye = l2 * np.eye(f)
     for _ in range(epochs):
-        for i in range(means.shape[0]):
-            w = weights[i]
-            gram = (v * w[:, None]).T @ v + eye
-            u[i] = np.linalg.solve(gram, v.T @ (w * targets[i]))
-        for j in range(means.shape[1]):
-            w = weights[:, j]
-            gram = (u * w[:, None]).T @ u + eye
-            v[j] = np.linalg.solve(gram, u.T @ (w * targets[:, j]))
+        u = _ridge_rows(v, weights, weighted_targets, eye)
+        v = _ridge_rows(u, weights.T, weighted_targets.T, eye)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise RuntimeError("imputation factorization diverged to non-finite factors")
     return ImputationModel(

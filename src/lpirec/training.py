@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,14 +103,12 @@ def _window_examples(dataset: Dataset, split_name: str, cfg: RunConfig):
     return [examples[i] for i in keep], rtg[keep]
 
 
-def _make_batches(examples, rtg, cfg: RunConfig, rng: np.random.Generator):
+def _make_batches(examples, rtg, batch_size: int, recency: float, rng: np.random.Generator):
     order = rng.permutation(len(examples))
     batches = []
-    for start in range(0, len(order), cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        batches.append(
-            build_batch([examples[i] for i in idx], rtg[idx], recency=cfg.recency)
-        )
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        batches.append(build_batch([examples[i] for i in idx], rtg[idx], recency=recency))
     return batches
 
 
@@ -183,9 +181,9 @@ def train_model(
     """Train one model on the dataset's train split.
 
     select_by: "score" keeps the epoch with the best validation selection
-    score, "log_loss" the one with the lowest validation cross-entropy,
-    "none" keeps the final model. A non-finite loss or gradient aborts
-    training and keeps the best (or last good) parameters.
+    score, "log_loss" the one with the lowest validation cross-entropy; with
+    no validation score the final model is kept. A non-finite loss or
+    gradient aborts training and keeps the best (or last good) parameters.
     """
     objective = objective or cfg.objective_config()
     encoder = encoder or cfg.encoder_config(dataset.catalog_size)
@@ -196,7 +194,7 @@ def train_model(
     if not examples:
         raise ValueError("train split expands to no examples")
     batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
-    batches = _make_batches(examples, rtg, cfg, batch_rng)
+    batches = _make_batches(examples, rtg, cfg.batch_size, encoder.recency, batch_rng)
 
     val_examples, _ = _window_examples(dataset, "validation", cfg)
 
@@ -212,7 +210,8 @@ def train_model(
         if behavior_model is None:
             return None
         if index not in behavior_cache:
-            behavior_cache[index] = behavior_model.probs(batch.padded)
+            padded, _ = batch.pad(behavior_model.config.recency)
+            behavior_cache[index] = behavior_model.probs(padded)
         cached = behavior_cache[index]
         return lambda _contexts: cached
 
@@ -272,13 +271,13 @@ def train_model(
                 if score is not None:
                     entry["val_score"] = score
         log.append(entry)
-        if select_by != "none" and score is not None and score > best_score:
+        if score is not None and score > best_score:
             best_score = score
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
 
-    if select_by == "none" or best_epoch == 0:
-        # keep the final model when selection is off or never scored
+    if best_epoch == 0:
+        # keep the final model when no epoch was scored
         best_params = {k: v.copy() for k, v in model.params.items()}
         best_epoch = len([e for e in log if e["type"] == "epoch"])
         best_score = float("nan") if not np.isfinite(best_score) else best_score
@@ -301,14 +300,13 @@ def fit_behavior_model(
     behavior_epochs / behavior_learning_rate settings; the best epoch is
     chosen by validation log loss.
     """
-    overrides = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    overrides.update(
+    behavior_cfg = replace(
+        cfg,
         objective="ce",
         td_weight=0.0,
         epochs=cfg.behavior_epochs,
         learning_rate=cfg.behavior_learning_rate,
     )
-    behavior_cfg = RunConfig(**overrides)
     result = train_model(
         dataset,
         behavior_cfg,
@@ -593,9 +591,7 @@ def run_diagnose(cfg: RunConfig, checkpoint_paths: list[str]) -> str:
 
     if _BREAKDOWN_K not in cfg.eval_ks_list():
         # the sweep table always reports nDCG@20, so make sure it is computed
-        overrides = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        overrides["eval_ks"] = f"{cfg.eval_ks},{_BREAKDOWN_K}"
-        cfg = RunConfig(**overrides)
+        cfg = replace(cfg, eval_ks=f"{cfg.eval_ks},{_BREAKDOWN_K}")
 
     dataset = load_dataset(cfg)
     rows = []

@@ -7,6 +7,7 @@ import pytest
 
 from lpirec.estimators import SupportViolationError, empirical_behavior_tabular
 from lpirec.metrics import (
+    _DIVERGENCE_CHUNK,
     MetricsReport,
     ar_at_1,
     breakdown_report,
@@ -51,6 +52,16 @@ class RowPolicy:
 
     def probs(self, contexts):
         return np.tile(self.row, (len(contexts), 1))
+
+
+class IndexedPolicy:
+    """Returns row ``c[0]`` of a fixed matrix for context ``c``."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def probs(self, contexts):
+        return self.rows[[c[0] for c in contexts]]
 
 
 # -- hit rate and nDCG -------------------------------------------------------------
@@ -335,6 +346,55 @@ def test_mean_divergence_kl_support_violation_names_the_context():
         mean_divergence(RowPolicy([1.0]), RowPolicy([1.0]), [(0,)], kind="tv")
     with pytest.raises(ValueError, match="non-empty"):
         mean_divergence(RowPolicy([1.0]), RowPolicy([1.0]), [])
+
+
+def sparse_distributions(rng, n, k):
+    """n distributions over k items with about a third of the entries zero."""
+    rows = rng.dirichlet(np.ones(k), size=n)
+    rows[rng.random((n, k)) < 0.35] = 0.0
+    rows[np.arange(n), rng.integers(0, k, size=n)] += 0.1
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["js", "kl"])
+def test_mean_divergence_is_the_mean_of_the_scalar_divergences(kind):
+    rng = np.random.default_rng(12)
+    n, k = 2 * _DIVERGENCE_CHUNK + 300, 7
+    p = sparse_distributions(rng, n, k)
+    q = sparse_distributions(rng, n, k)
+    if kind == "kl":  # q keeps zeros only outside p's support
+        q = np.where(p > 0, q + 0.05, q)
+        q /= q.sum(axis=1, keepdims=True)
+    assert (p == 0).any() and (q == 0).any()
+    scalar = js_divergence if kind == "js" else kl_divergence
+    per_row = np.array([scalar(p[i], q[i]) for i in range(n)])
+    contexts = [(i,) for i in range(n)]
+
+    mean, stderr = mean_divergence(IndexedPolicy(p), IndexedPolicy(q), contexts, kind=kind)
+    assert mean == pytest.approx(per_row.mean(), abs=1e-12)
+    assert stderr == pytest.approx(per_row.std(ddof=1) / np.sqrt(n), abs=1e-12)
+
+    cap = _DIVERGENCE_CHUNK + 500
+    keep = np.sort(np.random.default_rng(3).choice(n, size=cap, replace=False))
+    mean, stderr = mean_divergence(
+        IndexedPolicy(p), IndexedPolicy(q), contexts, kind=kind, cap=cap, seed=3
+    )
+    assert mean == pytest.approx(per_row[keep].mean(), abs=1e-12)
+    assert stderr == pytest.approx(per_row[keep].std(ddof=1) / np.sqrt(cap), abs=1e-12)
+
+
+def test_kl_support_violation_past_the_first_chunk_names_the_global_context():
+    n = 2 * _DIVERGENCE_CHUNK + 10
+    p = np.full((n, 3), 1.0 / 3.0)
+    q = p.copy()
+    bad = _DIVERGENCE_CHUNK + 37
+    q[bad] = [0.5, 0.5, 0.0]
+    q[bad + 5] = [0.0, 0.5, 0.5]
+    contexts = [(i,) for i in range(n)]
+    with pytest.raises(SupportViolationError, match=rf"^context {bad}: .* index 2 "):
+        mean_divergence(IndexedPolicy(p), IndexedPolicy(q), contexts, kind="kl")
+    mean, _ = mean_divergence(IndexedPolicy(p), IndexedPolicy(q), contexts, kind="js")
+    assert mean > 0.0
 
 
 # -- model selection -----------------------------------------------------------------

@@ -519,6 +519,16 @@ def test_composite_loss_splits_into_policy_and_td_terms():
     assert out.td_term > 0
 
 
+def test_a_prepadded_batch_is_pooled_with_the_model_recency():
+    exs = [example((0, 1, 2), 3, pos=0), example((4, 5, 1, 2), 0, pos=1)]
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=6, dim=4, recency=0.5), 0)
+    padded_for_other = ce_loss(model, build_batch(exs, recency=0.8))
+    padded_for_model = ce_loss(model, build_batch(exs, recency=0.5))
+    assert padded_for_other.loss == padded_for_model.loss
+    for name, grad in padded_for_model.gradients.items():
+        np.testing.assert_array_equal(padded_for_other.gradients[name], grad)
+
+
 def test_empty_batch_rejected():
     model = make_model()
     with pytest.raises(ValueError, match="non-empty"):

@@ -324,6 +324,46 @@ def test_als_objective_never_increases_across_epochs():
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
+def per_row_ridge_fit(ratings, f, l2, missing_target, missing_weight, epochs, seed, n_users, n_items):
+    """Alternating least squares with one ridge solve per user and per item."""
+    sums = np.zeros((n_users, n_items))
+    counts = np.zeros((n_users, n_items))
+    for u, i, r in ratings:
+        sums[u, i] += r
+        counts[u, i] += 1
+    observed = counts > 0
+    means = np.where(observed, sums / np.maximum(counts, 1), 0.0)
+    bias = means[observed].mean()
+    targets = np.where(observed, means, missing_target) - bias
+    weights = np.where(observed, 1.0, missing_weight)
+    rng = np.random.default_rng(seed)
+    users = rng.standard_normal((n_users, f)) * 0.1
+    items = rng.standard_normal((n_items, f)) * 0.1
+    for _ in range(epochs):
+        for row in range(n_users):
+            gram = sum(weights[row, c] * np.outer(items[c], items[c]) for c in range(n_items))
+            rhs = sum(weights[row, c] * targets[row, c] * items[c] for c in range(n_items))
+            users[row] = np.linalg.solve(gram + l2 * np.eye(f), rhs)
+        for col in range(n_items):
+            gram = sum(weights[r, col] * np.outer(users[r], users[r]) for r in range(n_users))
+            rhs = sum(weights[r, col] * targets[r, col] * users[r] for r in range(n_users))
+            items[col] = np.linalg.solve(gram + l2 * np.eye(f), rhs)
+    return users, items
+
+
+def test_als_matches_per_row_ridge_solves():
+    rng = np.random.default_rng(22)
+    ratings = [
+        (int(u), int(i), float(rng.uniform(0, 1)))
+        for u, i in zip(rng.integers(0, 9, 50), rng.integers(0, 11, 50))
+    ]
+    settings = dict(f=3, l2=0.05, missing_target=0.25, missing_weight=0.05, epochs=4, seed=5)
+    model = fit_weighted_mf(ratings, n_users=9, n_items=11, **settings)
+    users, items = per_row_ridge_fit(ratings, n_users=9, n_items=11, **settings)
+    np.testing.assert_allclose(model.user_factors, users, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.item_factors, items, rtol=0, atol=1e-10)
+
+
 def test_zero_factors_impute_the_clamped_bias():
     model = ImputationModel(
         user_factors=np.zeros((2, 3)),

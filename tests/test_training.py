@@ -6,13 +6,14 @@ import json
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lpirec.config import RunConfig, load_config
 from lpirec.data import Dataset, Interaction, SessionSequence, TrainingExample, expand_examples
-from lpirec.encoder import EncoderConfig
+from lpirec.encoder import EncoderConfig, pad_contexts
 from lpirec.metrics import MetricsReport, MetricSummary, breakdown_report, ndcg_samples
 from lpirec.policy import SequenceModel, load_checkpoint, save_checkpoint
 from lpirec.synth import (
@@ -345,6 +346,38 @@ def test_behavior_fit_uses_its_own_epoch_and_rate_settings():
         not np.array_equal(slow_main.params[key], other_rate.params[key])
         for key in slow_main.params
     )
+
+
+class PaddingSpy(SequenceModel):
+    """A behavior model that records every padded batch it scores."""
+
+    def __init__(self, config, params):
+        super().__init__(config, params)
+        self.scored = []
+
+    def probs(self, contexts):
+        self.scored.append(self.as_batch(contexts))
+        return super().probs(contexts)
+
+
+def test_every_model_pools_with_its_own_recency():
+    cfg = synth_cfg(epochs=1, recency=0.8)
+    dataset = load_dataset(cfg)
+    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=cfg.dim, recency=0.5)
+    behavior_encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8, recency=0.3)
+    behavior = PaddingSpy(behavior_encoder, SequenceModel.initialize(behavior_encoder, 4).params)
+
+    trained = train_model(dataset, cfg, encoder=encoder, behavior_model=behavior).model
+    reference = train_model(
+        dataset, replace(cfg, recency=0.5), encoder=encoder, behavior_model=behavior
+    ).model
+    for name, value in reference.params.items():
+        np.testing.assert_array_equal(trained.params[name], value)
+
+    assert behavior.scored
+    for batch in behavior.scored:
+        contexts = [tuple(row[:n]) for row, n in zip(batch.indices, batch.lengths)]
+        np.testing.assert_array_equal(batch.weights, pad_contexts(contexts, 0.3).weights)
 
 
 # -- fit_imputation -------------------------------------------------------------
