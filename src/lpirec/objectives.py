@@ -169,12 +169,16 @@ def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleBa
     return build_batch(examples, reward_to_go=rtg)
 
 
-def _probs_fn(logging_policy):
-    if logging_policy is None:
-        return None
-    if callable(logging_policy) and not isinstance(logging_policy, SequenceModel):
-        return logging_policy
-    return logging_policy.probs
+def _behavior_probs(logging_policy, batch: ExampleBatch) -> np.ndarray:
+    """(n, catalog) action probabilities of the batch's contexts under mu_hat.
+
+    ``logging_policy`` is a SequenceModel, scored on the batch padded with its
+    own recency (cached on the batch), or a callable mapping a list of
+    contexts to that array.
+    """
+    if isinstance(logging_policy, SequenceModel):
+        return logging_policy.probs(batch.pad(logging_policy.config.recency)[0])
+    return np.asarray(logging_policy(batch.contexts), dtype=float)
 
 
 # -- per-step constants (the stop-gradient side) --------------------------------
@@ -194,8 +198,13 @@ def advantage_from_q(model: SequenceModel, logging_policy, context, action: int)
     The Q head is read, not trained, through this quantity: callers treat the
     result as a constant during differentiation.
     """
-    q = np.asarray(model.q_values([tuple(context)])[0])
-    mu = np.asarray(_probs_fn(logging_policy)([tuple(context)])[0])
+    context = tuple(context)
+    example = TrainingExample(
+        context=context, action=action, reward=0.0, next_context=context + (action,),
+        terminal=True, in_loss_window=True, event="", sequence_id="", position=0,
+    )
+    q = np.asarray(model.q_values([context])[0])
+    mu = _behavior_probs(logging_policy, build_batch([example]))[0]
     return float(q[action] - mu @ q)
 
 
@@ -212,24 +221,25 @@ def prepare_step(
     model: SequenceModel,
     batch: ExampleBatch,
     config: ObjectiveConfig,
-    behavior_probs_fn=None,
+    logging_policy=None,
     target_model: SequenceModel | None = None,
 ) -> PreparedWeights:
     """Compute the step's constants from the current model state.
 
-    ``behavior_probs_fn`` maps a list of contexts to an (n, catalog) action
-    probability array under the estimated logging policy; required for kinds
-    that use it. ``target_model`` supplies TD target values when
-    td_weight > 0.
+    ``logging_policy`` is the estimated logging policy, a SequenceModel or a
+    callable mapping a list of contexts to an (n, catalog) action probability
+    array. Kinds in BEHAVIOR_KINDS require it and score it on this batch;
+    the others never read it. ``target_model`` supplies TD target values
+    when td_weight > 0.
     """
     padded, next_padded = batch.pad(model.config.recency)
     n = len(batch)
     rows = np.arange(n)
 
     if config.kind in BEHAVIOR_KINDS:
-        if behavior_probs_fn is None:
+        if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
-        behavior = np.asarray(behavior_probs_fn(batch.contexts), dtype=float)
+        behavior = _behavior_probs(logging_policy, batch)
     else:
         behavior = None
 
@@ -366,7 +376,7 @@ def composite_loss(
     be an ExampleBatch or a list of examples.
     """
     batch = _as_batch(batch, config.discount, need_rtg=config.kind in ("pg", "ips_pg"))
-    prepared = prepare_step(model, batch, config, _probs_fn(logging_policy), target_model)
+    prepared = prepare_step(model, batch, config, logging_policy, target_model)
     return evaluate_prepared(model, batch, config, prepared, compute_grads)
 
 

@@ -45,7 +45,6 @@ from .metrics import (
 )
 from .objectives import (
     BEHAVIOR_KINDS,
-    ExampleBatch,
     ObjectiveConfig,
     attach_reward_to_go,
     build_batch,
@@ -187,6 +186,8 @@ def train_model(
     """
     objective = objective or cfg.objective_config()
     encoder = encoder or cfg.encoder_config(dataset.catalog_size)
+    if behavior_model is not None:
+        _check_catalog(behavior_model, "behavior model", dataset)
     if objective.kind in BEHAVIOR_KINDS and behavior_model is None:
         behavior_model = fit_behavior_model(dataset, cfg, encoder)
 
@@ -204,17 +205,6 @@ def train_model(
     )
     target = model.copy() if objective.td_weight > 0 else None
 
-    behavior_cache: dict[int, np.ndarray] = {}
-
-    def behavior_fn_for(index: int, batch: ExampleBatch):
-        if behavior_model is None:
-            return None
-        if index not in behavior_cache:
-            padded, _ = batch.pad(behavior_model.config.recency)
-            behavior_cache[index] = behavior_model.probs(padded)
-        cached = behavior_cache[index]
-        return lambda _contexts: cached
-
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_score = -np.inf
     best_epoch = 0
@@ -228,9 +218,7 @@ def train_model(
         for index in order:
             batch = batches[index]
             try:
-                prepared = prepare_step(
-                    model, batch, objective, behavior_fn_for(int(index), batch), target
-                )
+                prepared = prepare_step(model, batch, objective, behavior_model, target)
                 result = evaluate_prepared(model, batch, objective, prepared)
                 if not np.isfinite(result.loss):
                     raise TrainingDivergedError("non-finite loss")
@@ -475,6 +463,26 @@ def _behavior_path(checkpoint_path: str) -> str:
     return os.path.join(os.path.dirname(checkpoint_path) or ".", "behavior.ckpt")
 
 
+def _check_catalog(model: SequenceModel, name: str, dataset: Dataset) -> None:
+    if model.config.catalog_size != dataset.catalog_size:
+        raise ValueError(
+            f"{name} catalog size {model.config.catalog_size} does not match "
+            f"dataset catalog size {dataset.catalog_size}"
+        )
+
+
+def _load_checkpoint_for(path: str, dataset: Dataset) -> SequenceModel:
+    model = load_checkpoint(path)
+    _check_catalog(model, f"checkpoint {path}", dataset)
+    return model
+
+
+def _load_behavior_for(checkpoint_path: str, dataset: Dataset) -> SequenceModel | None:
+    """The behavior checkpoint next to ``checkpoint_path``, or None if there is none."""
+    path = _behavior_path(checkpoint_path)
+    return _load_checkpoint_for(path, dataset) if os.path.exists(path) else None
+
+
 def run_train(cfg: RunConfig) -> dict:
     """Train per config, write checkpoint/log/meta into output_dir.
 
@@ -539,16 +547,8 @@ def run_eval(cfg: RunConfig, checkpoint_path: str, split_name: str) -> tuple[Met
     if split_name not in ("train", "validation", "test"):
         raise ValueError(f"unknown split {split_name!r}")
     dataset = load_dataset(cfg)
-    model = load_checkpoint(checkpoint_path)
-    if model.config.catalog_size != dataset.catalog_size:
-        raise ValueError(
-            f"checkpoint catalog size {model.config.catalog_size} does not match "
-            f"dataset catalog size {dataset.catalog_size}"
-        )
-    behavior = None
-    behavior_path = _behavior_path(checkpoint_path)
-    if os.path.exists(behavior_path):
-        behavior = load_checkpoint(behavior_path)
+    model = _load_checkpoint_for(checkpoint_path, dataset)
+    behavior = _load_behavior_for(checkpoint_path, dataset)
     report = evaluate_split(model, dataset, split_name, cfg, behavior)
     return report, report.to_json()
 
@@ -596,15 +596,8 @@ def run_diagnose(cfg: RunConfig, checkpoint_paths: list[str]) -> str:
     dataset = load_dataset(cfg)
     rows = []
     for path, meta in zip(checkpoint_paths, metas):
-        model = load_checkpoint(path)
-        if model.config.catalog_size != dataset.catalog_size:
-            raise ValueError(
-                f"checkpoint {path} catalog size {model.config.catalog_size} does not "
-                f"match dataset catalog size {dataset.catalog_size}"
-            )
-        behavior = None
-        if os.path.exists(_behavior_path(path)):
-            behavior = load_checkpoint(_behavior_path(path))
+        model = _load_checkpoint_for(path, dataset)
+        behavior = _load_behavior_for(path, dataset)
         report = evaluate_split(model, dataset, "validation", cfg, behavior)
         overall = report.metrics.get("ndcg_at_20")
         fallback = overall.value if overall is not None and overall.count else ""

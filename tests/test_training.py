@@ -6,11 +6,13 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lpirec import training
 from lpirec.config import RunConfig, load_config
 from lpirec.data import Dataset, Interaction, SessionSequence, TrainingExample, expand_examples
 from lpirec.encoder import EncoderConfig, pad_contexts
@@ -297,6 +299,15 @@ def test_behavior_model_is_fitted_only_for_weighted_objectives():
     assert reused.behavior_model is explicit
 
 
+def test_a_behavior_model_over_another_catalog_is_rejected():
+    rows = [[i % 4, (i + 1) % 4, (i + 3) % 4] for i in range(12)]
+    dataset = dataset_of(rows, catalog=4, n_validation=2)
+    cfg = RunConfig(epochs=1, batch_size=16, dim=8, seed=0, objective="lpi", beta=1.0)
+    other = SequenceModel.initialize(cfg.encoder_config(5), seed=0)
+    with pytest.raises(ValueError, match="behavior model catalog size 5"):
+        train_model(dataset, cfg, behavior_model=other)
+
+
 def test_behavior_fit_ignores_rewards():
     rows = [[i % 4, (i + 1) % 4, (i + 3) % 4] for i in range(12)]
     low = Dataset(
@@ -360,12 +371,16 @@ class PaddingSpy(SequenceModel):
         return super().probs(contexts)
 
 
+def spy_behavior(dataset):
+    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8, recency=0.3)
+    return PaddingSpy(encoder, SequenceModel.initialize(encoder, 4).params)
+
+
 def test_every_model_pools_with_its_own_recency():
     cfg = synth_cfg(epochs=1, recency=0.8)
     dataset = load_dataset(cfg)
     encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=cfg.dim, recency=0.5)
-    behavior_encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8, recency=0.3)
-    behavior = PaddingSpy(behavior_encoder, SequenceModel.initialize(behavior_encoder, 4).params)
+    behavior = spy_behavior(dataset)
 
     trained = train_model(dataset, cfg, encoder=encoder, behavior_model=behavior).model
     reference = train_model(
@@ -378,6 +393,51 @@ def test_every_model_pools_with_its_own_recency():
     for batch in behavior.scored:
         contexts = [tuple(row[:n]) for row, n in zip(batch.indices, batch.lengths)]
         np.testing.assert_array_equal(batch.weights, pad_contexts(contexts, 0.3).weights)
+
+
+def test_lpi_scores_the_behavior_model_on_each_steps_own_batch(monkeypatch):
+    cfg = synth_cfg(epochs=3)
+    dataset = load_dataset(cfg)
+    behavior = spy_behavior(dataset)
+    steps = []
+    original = training.evaluate_prepared
+
+    def recorded(model, batch, *args, **kwargs):
+        steps.append(batch)
+        return original(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate_prepared", recorded)
+    result = train_model(dataset, cfg, behavior_model=behavior)
+
+    n_steps, n_scored = len(steps), len(behavior.scored)
+    assert n_steps == result.log[-1]["steps"] > 3
+    assert n_scored == n_steps
+    for batch, scored in zip(steps, behavior.scored):
+        assert scored is batch.pad(0.3)[0]
+
+
+def test_objectives_without_a_behavior_term_never_score_the_behavior_model():
+    cfg = synth_cfg(objective="ce", td_weight=0.0, epochs=1)
+    dataset = load_dataset(cfg)
+    behavior = spy_behavior(dataset)
+    train_model(dataset, cfg, behavior_model=behavior)
+    n_scored = len(behavior.scored)
+    assert n_scored == 0
+
+
+def test_training_memory_does_not_grow_with_examples_times_catalog():
+    # a run-long examples x catalog float64 behavior matrix alone would be 1.0x
+    cfg = synth_cfg(synthetic_catalog=1000, synthetic_sessions=1000, epochs=1,
+                    behavior_epochs=1)
+    dataset = load_dataset(cfg)
+    n_train = sum(min(cfg.loss_window, len(s) - 1) for s in dataset.sequences_in("train"))
+    tracemalloc.start()
+    try:
+        train_model(dataset, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_train * dataset.catalog_size
 
 
 # -- fit_imputation -------------------------------------------------------------
@@ -699,6 +759,11 @@ def test_eval_validates_split_name_and_catalog(world_run, tmp_path):
     save_checkpoint(other, str(tmp_path / "other.ckpt"))
     with pytest.raises(ValueError, match="catalog size"):
         run_eval(cfg, str(tmp_path / "other.ckpt"), "test")
+
+    shutil.copy(paths["checkpoint"], tmp_path / "model.ckpt")
+    save_checkpoint(other, str(tmp_path / "behavior.ckpt"))
+    with pytest.raises(ValueError, match="behavior.ckpt catalog size 11"):
+        run_eval(cfg, str(tmp_path / "model.ckpt"), "test")
 
 
 def test_eval_without_a_behavior_checkpoint_warns(world_run, tmp_path):
