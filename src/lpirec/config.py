@@ -7,6 +7,7 @@ rejected, and values are validated on load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .encoder import EncoderConfig
@@ -72,6 +73,10 @@ class RunConfig:
     output_dir: str = "runs/exp"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.data_source not in ("csv", "synthetic"):
             raise ConfigError(f"data_source must be csv or synthetic, got {self.data_source!r}")
         if self.objective not in OBJECTIVE_KINDS:

@@ -106,16 +106,29 @@ def encode(params: dict, batch: PaddedBatch) -> EncodeCache:
 
 
 def encode_backward(params: dict, cache: EncodeCache, dstate: np.ndarray, grads: dict) -> None:
-    """Accumulate encoder gradients into ``grads`` given dLoss/dstate."""
+    """Accumulate encoder gradients into ``grads`` given dLoss/dstate.
+
+    The embedding gradient is one ``np.bincount`` over the filled cells only.
+    The gradient already in ``grads`` (the head's, with tied weights) is put
+    first in every bin and the cells follow in row-major order, so each entry
+    is summed in the order ``np.add.at`` would use, bit for bit.
+    """
     dpre = dstate * (1.0 - cache.state**2)
     grads["b"] = grads.get("b", 0.0) + dpre.sum(axis=0)
     grads["W"] = grads.get("W", 0.0) + dpre.T @ cache.pool
     dpool = dpre @ params["W"]  # (B, d)
-    contrib = cache.batch.weights[:, :, None] * dpool[:, None, :]  # (B, T, d)
-    demb = grads.setdefault(
-        "item_embeddings", np.zeros_like(params["item_embeddings"])
-    )
-    np.add.at(demb, cache.batch.indices.ravel(), contrib.reshape(-1, contrib.shape[-1]))
+    batch = cache.batch
+    filled = np.arange(batch.indices.shape[1]) < batch.lengths[:, None]
+    rows = np.nonzero(filled)[0]
+    catalog, d = params["item_embeddings"].shape
+    terms = np.empty((catalog + rows.size, d))
+    terms[:catalog] = grads.get("item_embeddings", 0.0)
+    np.multiply(dpool[rows], batch.weights[filled][:, None], out=terms[catalog:])
+    bins = np.concatenate([np.arange(catalog), batch.indices[filled]])
+    flat = (bins[:, None] * d + np.arange(d)).ravel()
+    grads["item_embeddings"] = np.bincount(
+        flat, weights=terms.ravel(), minlength=catalog * d
+    ).reshape(catalog, d)
 
 
 class Adam:

@@ -1,5 +1,7 @@
 """Flat key=value configuration: parsing, validation, and round trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from lpirec.config import ConfigError, RunConfig, load_config, parse_config_text
@@ -102,6 +104,22 @@ def test_type_errors_name_the_key(line, message):
 def test_field_validation(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
+
+
+def test_float_keys_cover_the_training_constants():
+    assert {"learning_rate", "split_train", "beta", "td_weight", "adam_eps"} <= set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_are_rejected_by_name(key):
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+            parse_config_text(f"{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+        RunConfig(**{key: float("nan")})
 
 
 def test_objective_validation_happens_at_config_level():

@@ -1,5 +1,7 @@
 """Recency-pooled encoder: forward, hand-written backward, and Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lpirec.encoder import (
     init_params,
     pad_contexts,
 )
+from lpirec.policy import SequenceModel
 
 
 def small_params(catalog=6, dim=4, seed=0):
@@ -182,6 +185,73 @@ def test_backward_matches_central_finite_differences():
         denom = max(np.linalg.norm(numeric), 1e-12)
         rel = np.linalg.norm(analytic - numeric) / denom
         assert rel < 1e-4, f"{name}: finite-difference relative error {rel}"
+
+
+def add_at_embedding_gradient(params, cache, dstate, seed=None):
+    """The embedding gradient scattered with ``np.add.at`` over every padded cell."""
+    dpool = (dstate * (1.0 - cache.state**2)) @ params["W"]
+    demb = np.zeros_like(params["item_embeddings"]) if seed is None else seed.copy()
+    contrib = cache.batch.weights[:, :, None] * dpool[:, None, :]
+    np.add.at(demb, cache.batch.indices.ravel(), contrib.reshape(-1, dpool.shape[1]))
+    return demb
+
+
+def ragged_contexts(rng, n, catalog, max_len):
+    # a small catalog repeats items within and across contexts; one is empty
+    contexts = [tuple(rng.integers(0, catalog, size=rng.integers(1, max_len + 1))) for _ in range(n)]
+    contexts[n // 2] = ()
+    return contexts
+
+
+@pytest.mark.parametrize("tie_weights", [True, False])
+def test_embedding_gradient_is_bit_identical_to_add_at(tie_weights):
+    rng = np.random.default_rng(5)
+    cfg = EncoderConfig(catalog_size=7, dim=5, recency=0.9, tie_weights=tie_weights)
+    model = SequenceModel.initialize(cfg, seed=3)
+    cache = model.encode(ragged_contexts(rng, 40, cfg.catalog_size, 30))
+    dlogits = rng.standard_normal((40, cfg.catalog_size))
+    grads = model.backward(cache, dlogits=dlogits)
+    # tied weights seed the embedding gradient with the head's; untied leave it empty
+    head = dlogits.T @ cache.state if tie_weights else None
+    dstate = dlogits @ model.head_matrix()
+    expected = add_at_embedding_gradient(model.params, cache, dstate, seed=head)
+    np.testing.assert_array_equal(grads["item_embeddings"], expected)
+
+
+def test_accumulating_calls_stay_bit_identical_to_add_at():
+    rng = np.random.default_rng(9)
+    cfg, params = small_params(catalog=6, dim=4, seed=2)
+    grads, expected = {}, None
+    for _ in range(2):
+        cache = encode(params, pad_contexts(ragged_contexts(rng, 25, 6, 20), recency=0.7))
+        dstate = rng.standard_normal(cache.state.shape)
+        encode_backward(params, cache, dstate, grads)
+        expected = add_at_embedding_gradient(params, cache, dstate, seed=expected)
+    np.testing.assert_array_equal(grads["item_embeddings"], expected)
+
+
+def test_backward_memory_stays_below_a_dense_padded_block():
+    # fill 0.3 or less: most cells are padding, which the backward must not
+    # materialize as a (B, T, d) block
+    rng = np.random.default_rng(0)
+    B, T, catalog, dim = 256, 50, 400, 32
+    contexts = [tuple(rng.integers(0, catalog, size=rng.integers(1, 29))) for _ in range(B - 1)]
+    contexts.append(tuple(rng.integers(0, catalog, size=T)))
+    cfg = EncoderConfig(catalog_size=catalog, dim=dim)
+    params = init_params(cfg, seed=0)
+    batch = pad_contexts(contexts, cfg.recency)
+    assert batch.indices.shape == (B, T)
+    assert batch.lengths.sum() / batch.indices.size <= 0.3
+    cache = encode(params, batch)
+    dstate = rng.standard_normal(cache.state.shape)
+    grads = {"item_embeddings": rng.standard_normal((catalog, dim))}
+    tracemalloc.start()
+    try:
+        encode_backward(params, cache, dstate, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * T * dim * 8, f"peak {peak} bytes"
 
 
 # -- initialization -----------------------------------------------------------
