@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 from .encoder import EncoderConfig
 from .objectives import OBJECTIVE_KINDS, ObjectiveConfig
+from .synth import MAX_WORLD_STATES
 
 
 class ConfigError(ValueError):
@@ -115,6 +116,16 @@ class RunConfig:
             raise ConfigError("split fractions must be non-negative and sum to 1")
         if not 0.0 < self.recency <= 1.0:
             raise ConfigError("recency must lie in (0, 1]")
+        if not 1 <= self.synthetic_states <= MAX_WORLD_STATES:
+            raise ConfigError(f"synthetic_states must lie in [1, {MAX_WORLD_STATES}]")
+        if self.synthetic_catalog < self.synthetic_states:
+            raise ConfigError("synthetic_catalog must be >= synthetic_states")
+        if self.synthetic_sessions < 1:
+            raise ConfigError("synthetic_sessions must be positive")
+        if self.synthetic_horizon < 2:
+            raise ConfigError("synthetic_horizon must be >= 2")
+        if not 0.0 < self.imputation_missing_weight <= 1.0:
+            raise ConfigError("imputation_missing_weight must lie in (0, 1]")
 
     # -- conversions --------------------------------------------------------
 

@@ -11,6 +11,8 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 EVENT_CLICK = "click"
 EVENT_PURCHASE = "purchase"
 EVENT_RATING = "rating"
@@ -262,6 +264,99 @@ def expand_examples(sequence: SessionSequence, loss_window: int) -> list[Trainin
             )
         )
     return out
+
+
+@dataclass(frozen=True)
+class RaggedContexts:
+    """Contexts as slices of one flat item array, read as a sequence of tuples.
+
+    Context i is ``items[starts[i] : starts[i] + lengths[i]]``.
+    """
+
+    items: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            start = self.starts[i]
+            return tuple(self.items[start : start + self.lengths[i]].tolist())
+        return RaggedContexts(self.items, self.starts[i], self.lengths[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass(frozen=True)
+class ExampleColumns:
+    """A split's loss-window examples as flat arrays, one entry per example.
+
+    ``contexts`` views the split's concatenated items. An example's action is
+    the item right after its context, so its next context is the same slice,
+    one item longer.
+    """
+
+    contexts: RaggedContexts
+    actions: np.ndarray
+    rewards: np.ndarray
+    terminals: np.ndarray
+    reward_to_go: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+
+def discounted_returns(rewards, segment_lengths, discount: float) -> np.ndarray:
+    """G_t = r_t + discount * G_(t+1) within each consecutive segment of ``rewards``.
+
+    The recurrence runs backward from every segment's end at once, one
+    position per step, in the same floating-point order as a scalar loop.
+    """
+    rewards = np.asarray(rewards, dtype=float)
+    segment_lengths = np.asarray(segment_lengths, dtype=np.int64)
+    ends = np.cumsum(segment_lengths)
+    out = np.zeros(len(rewards))
+    acc = np.zeros(len(segment_lengths))
+    for back in range(1, int(segment_lengths.max(initial=0)) + 1):
+        live = np.flatnonzero(segment_lengths >= back)
+        rows = ends[live] - back
+        acc[live] = rewards[rows] + discount * acc[live]
+        out[rows] = acc[live]
+    return out
+
+
+def expand_columns(
+    sequences: list[SessionSequence], loss_window: int, discount: float
+) -> ExampleColumns:
+    """The loss-window examples of ``sequences`` as flat arrays.
+
+    Gives the examples of :func:`expand_examples` that are in_loss_window, in
+    the same order, without building them. Reward-to-go sums each example's
+    own tail of its sequence, which lies inside the window.
+    """
+    if loss_window < 1:
+        raise ValueError("loss window must be >= 1")
+    seq_lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    items = np.array([it.item for s in sequences for it in s.interactions], dtype=np.int64)
+    rewards = np.array([it.reward for s in sequences for it in s.interactions], dtype=float)
+    offsets = np.cumsum(seq_lengths) - seq_lengths
+    window = np.minimum(loss_window, np.maximum(seq_lengths - 1, 0))
+    owner = np.repeat(np.arange(len(sequences)), window)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(window) - window, window)
+    lengths = (seq_lengths - window)[owner] + rank
+    starts = offsets[owner]
+    actions_at = starts + lengths
+    example_rewards = rewards[actions_at]
+    return ExampleColumns(
+        contexts=RaggedContexts(items, starts, lengths),
+        actions=items[actions_at],
+        rewards=example_rewards,
+        terminals=lengths == seq_lengths[owner] - 1,
+        reward_to_go=discounted_returns(example_rewards, window, discount),
+    )
 
 
 def load_interactions_csv(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import RaggedContexts
+
 
 class TrainingDivergedError(RuntimeError):
     """Optimization produced non-finite gradients."""
@@ -56,20 +58,32 @@ class EncodeCache:
 
 
 def pad_contexts(contexts, recency: float) -> PaddedBatch:
-    """Pad ragged contexts and attach normalized recency weights."""
-    n = len(contexts)
-    lengths = np.array([len(c) for c in contexts], dtype=np.int64)
+    """Pad ragged contexts and attach normalized recency weights.
+
+    ``contexts`` is a list of item sequences or a RaggedContexts view; a
+    view is gathered in one step.
+    """
+    ragged = isinstance(contexts, RaggedContexts)
+    if ragged:
+        lengths = contexts.lengths
+    else:
+        lengths = np.array([len(c) for c in contexts], dtype=np.int64)
     t_max = max(1, int(lengths.max(initial=0)))
-    indices = np.zeros((n, t_max), dtype=np.int64)
     positions = np.arange(t_max)
-    mask = positions[None, :] < lengths[:, None]
-    exponent = np.where(mask, lengths[:, None] - 1 - positions[None, :], 0)
+    column = lengths[:, None]
+    mask = positions < column
+    exponent = np.where(mask, column - 1 - positions, 0)
     weights = np.where(mask, float(recency) ** exponent, 0.0)
     norm = weights.sum(axis=1, keepdims=True)
     np.divide(weights, norm, out=weights, where=norm > 0)
-    for i, ctx in enumerate(contexts):
-        if len(ctx):
-            indices[i, : len(ctx)] = ctx
+    if ragged:
+        cells = contexts.starts[:, None] + positions
+        indices = np.where(mask, contexts.items.take(cells, mode="clip"), 0)
+    else:
+        indices = np.zeros((len(contexts), t_max), dtype=np.int64)
+        for i, ctx in enumerate(contexts):
+            if len(ctx):
+                indices[i, : len(ctx)] = ctx
     return PaddedBatch(indices=indices, weights=weights, lengths=lengths)
 
 

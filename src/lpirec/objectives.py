@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrainingExample
+from .data import ExampleColumns, RaggedContexts, TrainingExample, discounted_returns
 from .encoder import PaddedBatch, pad_contexts
 from .estimators import SupportViolationError
 from .policy import SequenceModel, log_softmax, softmax
@@ -80,12 +80,16 @@ class ObjectiveConfig:
 
 @dataclass
 class ExampleBatch:
-    """Vectorized view of training examples with cached padding."""
+    """Vectorized view of training examples with cached padding.
 
-    contexts: list[tuple[int, ...]]
+    ``contexts`` and ``next_contexts`` are lists of tuples, or RaggedContexts
+    views into a split's items when the batch was built from ExampleColumns.
+    """
+
+    contexts: list[tuple[int, ...]] | RaggedContexts
     actions: np.ndarray
     rewards: np.ndarray
-    next_contexts: list[tuple[int, ...]]
+    next_contexts: list[tuple[int, ...]] | RaggedContexts
     terminals: np.ndarray
     reward_to_go: np.ndarray
     _padding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -105,12 +109,7 @@ class ExampleBatch:
 
 def discounted_reward_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
     """G_t = sum_{s >= t} discount^(s-t) r_s over one sequence's rewards."""
-    out = np.zeros(len(rewards))
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + discount * acc
-        out[t] = acc
-    return out
+    return discounted_returns(rewards, [len(rewards)], discount)
 
 
 def reward_to_go(examples: list[TrainingExample], discount: float) -> np.ndarray:
@@ -130,31 +129,60 @@ def attach_reward_to_go(examples: list[TrainingExample], discount: float) -> np.
     by_sequence: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
         by_sequence.setdefault(ex.sequence_id, []).append(i)
+    groups = [sorted(ix, key=lambda i: examples[i].position) for ix in by_sequence.values()]
+    order = [i for group in groups for i in group]
     out = np.zeros(len(examples))
-    for indices in by_sequence.values():
-        indices.sort(key=lambda i: examples[i].position)
-        rewards = np.array([examples[i].reward for i in indices])
-        out[indices] = discounted_reward_to_go(rewards, discount)
+    out[order] = discounted_returns(
+        [examples[i].reward for i in order], [len(g) for g in groups], discount
+    )
     return out
 
 
 def build_batch(
-    examples: list[TrainingExample],
+    examples: list[TrainingExample] | ExampleColumns,
     reward_to_go: np.ndarray | None = None,
     recency: float | None = None,
+    rows: np.ndarray | None = None,
 ) -> ExampleBatch:
-    """Collate examples; pass reward_to_go aligned with ``examples`` if known."""
-    if not examples:
+    """Collate examples into a batch, padded for ``recency`` if given.
+
+    ``examples`` is a list of TrainingExample, or a split's ExampleColumns of
+    which the index array ``rows`` (default: all) selects the batch; its
+    contexts are then views into the split's items. ``reward_to_go`` must
+    align with the batch; it defaults to the columns' own reward-to-go, or to
+    each listed example's reward.
+    """
+    if isinstance(examples, ExampleColumns):
+        rows = np.arange(len(examples)) if rows is None else np.asarray(rows, dtype=np.int64)
+        contexts = examples.contexts[rows]
+        next_contexts = RaggedContexts(contexts.items, contexts.starts, contexts.lengths + 1)
+        actions, rewards = examples.actions[rows], examples.rewards[rows]
+        terminals = examples.terminals[rows]
+        default_rtg = examples.reward_to_go[rows]
+    else:
+        if rows is not None:
+            raise ValueError("rows index ExampleColumns only; slice the list instead")
+        contexts = [ex.context for ex in examples]
+        next_contexts = [ex.next_context for ex in examples]
+        actions = np.array([ex.action for ex in examples], dtype=np.int64)
+        rewards = np.array([ex.reward for ex in examples])
+        terminals = np.array([ex.terminal for ex in examples], dtype=bool)
+        default_rtg = rewards
+    if not len(actions):
         raise ValueError("batch must be non-empty")
     if reward_to_go is None:
-        reward_to_go = np.array([ex.reward for ex in examples])
+        reward_to_go = default_rtg
+    elif len(reward_to_go) != len(actions):
+        raise ValueError(
+            f"reward_to_go has {len(reward_to_go)} entries for a batch of {len(actions)}"
+        )
     batch = ExampleBatch(
-        contexts=[ex.context for ex in examples],
-        actions=np.array([ex.action for ex in examples], dtype=np.int64),
-        rewards=np.array([ex.reward for ex in examples]),
-        next_contexts=[ex.next_context for ex in examples],
-        terminals=np.array([ex.terminal for ex in examples], dtype=bool),
-        reward_to_go=np.asarray(reward_to_go, dtype=float),
+        contexts=contexts,
+        actions=actions,
+        rewards=rewards,
+        next_contexts=next_contexts,
+        terminals=terminals,
+        reward_to_go=np.array(reward_to_go, dtype=float),
     )
     if recency is not None:
         batch.pad(recency)

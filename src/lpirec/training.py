@@ -1,8 +1,9 @@
 """Training loop and the train/eval/diagnose pipelines behind the CLI.
 
-Training is plain minibatch gradient descent with Adam: examples are expanded
-from the train split, restricted to each sequence's loss window, collated
-into fixed minibatches once, and visited in a reshuffled order every epoch.
+Training is plain minibatch gradient descent with Adam: the train split's
+loss-window examples are expanded once into flat arrays, collated into fixed
+minibatches by index arrays into them, and visited in a reshuffled order
+every epoch.
 Objectives that bootstrap (td_weight > 0) maintain a target model refreshed
 by hard copy every ``target_refresh`` updates. After every epoch the model is
 scored on the validation split and the best-scoring parameters are kept.
@@ -26,6 +27,7 @@ from .data import (
     Dataset,
     PreprocessRules,
     TrainingExample,
+    expand_columns,
     expand_examples,
     load_interactions_csv,
     preprocess,
@@ -46,7 +48,6 @@ from .metrics import (
 from .objectives import (
     BEHAVIOR_KINDS,
     ObjectiveConfig,
-    attach_reward_to_go,
     build_batch,
     evaluate_prepared,
     prepare_step,
@@ -86,29 +87,24 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     return split(dataset, fractions, cfg.seed)
 
 
-def _window_examples(dataset: Dataset, split_name: str, cfg: RunConfig):
-    """Expanded examples of a split restricted to the loss window.
-
-    Reward-to-go is attached before filtering so it reflects the full tail of
-    each sequence.
-    """
-    examples: list[TrainingExample] = []
-    for seq in dataset.sequences_in(split_name):
-        examples.extend(expand_examples(seq, cfg.loss_window))
-    if not examples:
-        return [], np.zeros(0)
-    rtg = attach_reward_to_go(examples, cfg.discount)
-    keep = [i for i, ex in enumerate(examples) if ex.in_loss_window]
-    return [examples[i] for i in keep], rtg[keep]
+def _window_examples(
+    dataset: Dataset, split_name: str, cfg: RunConfig
+) -> list[TrainingExample]:
+    """Expanded examples of a split restricted to the loss window."""
+    return [
+        ex
+        for seq in dataset.sequences_in(split_name)
+        for ex in expand_examples(seq, cfg.loss_window)
+        if ex.in_loss_window
+    ]
 
 
-def _make_batches(examples, rtg, batch_size: int, recency: float, rng: np.random.Generator):
-    order = rng.permutation(len(examples))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        batches.append(build_batch([examples[i] for i in idx], rtg[idx], recency=recency))
-    return batches
+def _make_batches(columns, batch_size: int, recency: float, rng: np.random.Generator):
+    order = rng.permutation(len(columns))
+    return [
+        build_batch(columns, recency=recency, rows=order[start : start + batch_size])
+        for start in range(0, len(order), batch_size)
+    ]
 
 
 def batched_policy_scores(model: SequenceModel, contexts, chunk: int = 2048) -> np.ndarray:
@@ -191,13 +187,13 @@ def train_model(
     if objective.kind in BEHAVIOR_KINDS and behavior_model is None:
         behavior_model = fit_behavior_model(dataset, cfg, encoder)
 
-    examples, rtg = _window_examples(dataset, "train", cfg)
-    if not examples:
+    columns = expand_columns(dataset.sequences_in("train"), cfg.loss_window, cfg.discount)
+    if not len(columns):
         raise ValueError("train split expands to no examples")
     batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
-    batches = _make_batches(examples, rtg, cfg.batch_size, encoder.recency, batch_rng)
+    batches = _make_batches(columns, cfg.batch_size, encoder.recency, batch_rng)
 
-    val_examples, _ = _window_examples(dataset, "validation", cfg)
+    val_examples = _window_examples(dataset, "validation", cfg)
 
     model = SequenceModel.initialize(encoder, cfg.seed + seed_offset)
     adam = Adam(
@@ -427,7 +423,7 @@ def evaluate_split(
     behavior_model: SequenceModel | None = None,
 ) -> MetricsReport:
     """Evaluate a model on one split with every configured metric family."""
-    examples, _ = _window_examples(dataset, split_name, cfg)
+    examples = _window_examples(dataset, split_name, cfg)
     if not examples:
         raise ValueError(f"split {split_name!r} has no evaluable examples")
     sequence_lengths = {s.id: len(s) for s in dataset.sequences_in(split_name)}

@@ -106,6 +106,32 @@ def test_field_validation(kwargs):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("synthetic_states", 0),
+        ("synthetic_states", 65),
+        ("synthetic_catalog", 0),
+        ("synthetic_catalog", 7),
+        ("synthetic_sessions", 0),
+        ("synthetic_horizon", 1),
+        ("imputation_missing_weight", 0.0),
+        ("imputation_missing_weight", -0.5),
+        ("imputation_missing_weight", 1.5),
+    ],
+)
+def test_world_sizes_and_imputer_weight_are_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must"):
+        parse_config_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^{key} must"):
+        RunConfig(**{key: value})
+
+
+def test_world_and_imputer_limits_are_accepted():
+    RunConfig(synthetic_states=64, synthetic_catalog=64, synthetic_sessions=1, synthetic_horizon=2)
+    RunConfig(synthetic_states=1, synthetic_catalog=1, imputation_missing_weight=1.0)
+
+
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpirec.data import RaggedContexts
 from lpirec.encoder import (
     Adam,
     EncoderConfig,
@@ -69,6 +70,19 @@ def test_pad_handles_ragged_and_empty_rows():
     assert batch.weights[0].sum() == 0.0  # empty context gets no mass
     assert batch.weights[1].tolist() == [1.0, 0.0]
     np.testing.assert_allclose(batch.weights[2], [1 / 3, 2 / 3])
+
+
+def test_a_ragged_view_reads_as_tuples_and_pads_like_its_list():
+    items = np.array([4, 0, 3, 3, 1, 2], dtype=np.int64)
+    view = RaggedContexts(items, np.array([0, 2, 0, 5, 1]), np.array([3, 4, 0, 1, 5]))
+    contexts = [(4, 0, 3), (3, 3, 1, 2), (), (2,), (0, 3, 3, 1, 2)]
+    assert list(view) == contexts
+    assert len(view) == 5 and view[1][-1] == 2 and view[-1] == contexts[-1]
+    assert list(view[1:3]) == contexts[1:3]
+    for recency in (0.5, 1.0):
+        got, want = pad_contexts(view, recency), pad_contexts(contexts, recency)
+        for name in ("indices", "weights", "lengths"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 # -- forward ----------------------------------------------------------------

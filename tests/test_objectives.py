@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from lpirec.data import TrainingExample
+from lpirec.data import (
+    Interaction,
+    SessionSequence,
+    TrainingExample,
+    discounted_returns,
+    expand_columns,
+)
 from lpirec.encoder import EncoderConfig
 from lpirec.objectives import (
     BEHAVIOR_KINDS,
@@ -145,6 +151,21 @@ def test_reward_to_go_satisfies_bellman_recursion():
         for t in range(len(rewards) - 1):
             assert g[t] == pytest.approx(rewards[t] + gamma * g[t + 1], abs=1e-12)
         assert g[-1] == pytest.approx(rewards[-1], abs=1e-15)
+
+
+def test_segmented_returns_equal_a_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    lengths = [0, 1, 7, 2, 12, 1, 5]
+    rewards = rng.uniform(-1, 2, size=sum(lengths))
+    for gamma in (0.0, 0.5, 0.93):
+        expected = []
+        for end, n in zip(np.cumsum(lengths), lengths):
+            acc, tail = 0.0, []
+            for r in rewards[end - n : end][::-1]:
+                acc = r + gamma * acc
+                tail.append(acc)
+            expected.extend(tail[::-1])
+        np.testing.assert_array_equal(discounted_returns(rewards, lengths, gamma), expected)
 
 
 # -- cross-entropies ---------------------------------------------------------------
@@ -533,6 +554,39 @@ def test_empty_batch_rejected():
     model = make_model()
     with pytest.raises(ValueError, match="non-empty"):
         build_batch([])
+
+
+def test_a_misaligned_reward_to_go_is_rejected():
+    exs = [example((0,), 1, pos=0), example((0, 1), 2, pos=1)]
+    with pytest.raises(ValueError, match="reward_to_go has 3 entries for a batch of 2"):
+        build_batch(exs, np.zeros(3))
+    interactions = [Interaction(item=i, event="click", reward=1.0, timestamp=i) for i in range(4)]
+    columns = expand_columns([SessionSequence("s", interactions)], loss_window=5, discount=0.5)
+    with pytest.raises(ValueError, match="reward_to_go has 3 entries for a batch of 2"):
+        build_batch(columns, np.zeros(3), rows=np.array([0, 2]))
+    batch = build_batch(columns, rows=np.array([0, 2]))
+    np.testing.assert_array_equal(batch.reward_to_go, [1.75, 1.0])
+
+
+def test_a_callable_behavior_reads_a_columnar_batch_as_tuples():
+    interactions = [Interaction(item=i, event="click", reward=0.5, timestamp=i) for i in range(5)]
+    columns = expand_columns([SessionSequence("s", interactions)], loss_window=5, discount=0.0)
+    batch = build_batch(columns)
+    seen = []
+
+    def behavior(contexts):
+        seen.extend(contexts)
+        return np.full((len(contexts), 6), 1.0 / 6)
+
+    model = make_model()
+    cfg = ObjectiveConfig(kind="lpi", beta=0.5)
+    assert batch.contexts[2][-1] == 2
+    prepared = prepare_step(model, batch, cfg, behavior)
+    assert seen == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
+    listed = build_batch([example(c, len(c), reward=0.5, pos=len(c)) for c in seen])
+    np.testing.assert_array_equal(
+        prepared.policy_weights, prepare_step(model, listed, cfg, behavior).policy_weights
+    )
 
 
 # -- gradient conventions -----------------------------------------------------------

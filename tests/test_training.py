@@ -14,9 +14,17 @@ import pytest
 
 from lpirec import training
 from lpirec.config import RunConfig, load_config
-from lpirec.data import Dataset, Interaction, SessionSequence, TrainingExample, expand_examples
+from lpirec.data import (
+    Dataset,
+    Interaction,
+    SessionSequence,
+    TrainingExample,
+    expand_columns,
+    expand_examples,
+)
 from lpirec.encoder import EncoderConfig, pad_contexts
 from lpirec.metrics import MetricsReport, MetricSummary, breakdown_report, ndcg_samples
+from lpirec.objectives import ObjectiveConfig, attach_reward_to_go, build_batch
 from lpirec.policy import SequenceModel, load_checkpoint, save_checkpoint
 from lpirec.synth import (
     bucket_contexts_by_state,
@@ -280,6 +288,51 @@ def test_training_requires_train_examples():
     cfg = RunConfig(epochs=1, dim=4)
     with pytest.raises(ValueError, match="no examples"):
         train_model(dataset, cfg)
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9])
+def test_columnar_batches_equal_batches_of_expanded_examples(discount):
+    loss_window = 4
+    rng = np.random.default_rng(8)
+    sequences = [
+        clicks(f"s{i}", list(rng.integers(0, 9, size=n)), list(rng.uniform(-1, 2, size=n)))
+        for i, n in enumerate([1, 2, loss_window - 1, loss_window + 3, 2, loss_window + 3])
+    ]
+    examples = [ex for seq in sequences for ex in expand_examples(seq, loss_window)]
+    rtg = attach_reward_to_go(examples, discount)
+    keep = [i for i, ex in enumerate(examples) if ex.in_loss_window]
+    examples, rtg = [examples[i] for i in keep], rtg[keep]
+    columns = expand_columns(sequences, loss_window, discount)
+    assert len(columns) == len(examples)
+
+    order = rng.permutation(len(examples))
+    for start in range(0, len(order), 5):
+        rows = order[start : start + 5]
+        got = build_batch(columns, recency=0.7, rows=rows)
+        want = build_batch([examples[i] for i in rows], rtg[rows], recency=0.7)
+        assert list(got.contexts) == want.contexts
+        assert list(got.next_contexts) == want.next_contexts
+        for name in ("actions", "rewards", "terminals", "reward_to_go"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        for padded, reference in zip(got.pad(0.7), want.pad(0.7)):
+            for name in ("indices", "weights", "lengths"):
+                np.testing.assert_array_equal(getattr(padded, name), getattr(reference, name))
+
+
+def test_train_model_never_expands_a_train_sequence(monkeypatch):
+    cfg = synth_cfg(epochs=1, synthetic_sessions=300)
+    dataset = load_dataset(cfg)
+    expanded = []
+    original = training.expand_examples
+
+    def spy(sequence, loss_window):
+        expanded.append(dataset.splits[sequence.id])
+        return original(sequence, loss_window)
+
+    monkeypatch.setattr(training, "expand_examples", spy)
+    train_model(dataset, cfg, objective=ObjectiveConfig(kind="ce"))
+    assert expanded and "train" not in expanded
 
 
 def test_behavior_model_is_fitted_only_for_weighted_objectives():
