@@ -277,6 +277,16 @@ class RaggedContexts:
     starts: np.ndarray
     lengths: np.ndarray
 
+    @classmethod
+    def of(cls, contexts) -> RaggedContexts:
+        """Item sequences gathered into one flat array; a view is returned as is."""
+        if isinstance(contexts, cls):
+            return contexts
+        contexts = list(contexts)
+        lengths = np.array([len(c) for c in contexts], dtype=np.int64)
+        items = np.array([item for c in contexts for item in c], dtype=np.int64)
+        return cls(items, np.cumsum(lengths) - lengths, lengths)
+
     def __len__(self) -> int:
         return len(self.lengths)
 
@@ -292,11 +302,11 @@ class RaggedContexts:
 
 @dataclass(frozen=True)
 class ExampleColumns:
-    """A split's loss-window examples as flat arrays, one entry per example.
+    """Examples as flat arrays, one entry per example.
 
-    ``contexts`` views the split's concatenated items. An example's action is
-    the item right after its context, so its next context is the same slice,
-    one item longer.
+    ``contexts`` views the concatenated items. An example's action is the
+    item right after its context, so its next context is the same slice, one
+    item longer.
     """
 
     contexts: RaggedContexts
@@ -304,9 +314,31 @@ class ExampleColumns:
     rewards: np.ndarray
     terminals: np.ndarray
     reward_to_go: np.ndarray
+    events: np.ndarray
+    sequence_ids: np.ndarray
 
     def __len__(self) -> int:
         return len(self.actions)
+
+    @classmethod
+    def of(cls, examples: list[TrainingExample] | ExampleColumns) -> ExampleColumns:
+        """Listed TrainingExamples as columns, reward-to-go = reward; columns pass as is.
+
+        Each next context must be its context followed by its action.
+        """
+        if isinstance(examples, cls):
+            return examples
+        following = RaggedContexts.of(ex.next_context for ex in examples)
+        rewards = np.array([ex.reward for ex in examples], dtype=float)
+        return cls(
+            contexts=RaggedContexts(following.items, following.starts, following.lengths - 1),
+            actions=np.array([ex.action for ex in examples], dtype=np.int64),
+            rewards=rewards,
+            terminals=np.array([ex.terminal for ex in examples], dtype=bool),
+            reward_to_go=rewards,
+            events=np.array([ex.event for ex in examples], dtype=object),
+            sequence_ids=np.array([ex.sequence_id for ex in examples], dtype=object),
+        )
 
 
 def discounted_returns(rewards, segment_lengths, discount: float) -> np.ndarray:
@@ -342,6 +374,7 @@ def expand_columns(
     seq_lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     items = np.array([it.item for s in sequences for it in s.interactions], dtype=np.int64)
     rewards = np.array([it.reward for s in sequences for it in s.interactions], dtype=float)
+    events = np.array([it.event for s in sequences for it in s.interactions], dtype=object)
     offsets = np.cumsum(seq_lengths) - seq_lengths
     window = np.minimum(loss_window, np.maximum(seq_lengths - 1, 0))
     owner = np.repeat(np.arange(len(sequences)), window)
@@ -356,6 +389,8 @@ def expand_columns(
         rewards=example_rewards,
         terminals=lengths == seq_lengths[owner] - 1,
         reward_to_go=discounted_returns(example_rewards, window, discount),
+        events=events[actions_at],
+        sequence_ids=np.array([s.id for s in sequences], dtype=object)[owner],
     )
 
 

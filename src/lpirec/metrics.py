@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import RaggedContexts
 from .estimators import SupportViolationError
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
@@ -212,42 +213,56 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(_js_rows(np.asarray(p, dtype=float)[None], np.asarray(q, dtype=float)[None])[0])
 
 
+def divergence_rows(
+    model,
+    logging_estimate,
+    contexts,
+    kinds: tuple[str, ...] = ("js", "kl"),
+    cap: int | None = DEFAULT_DIVERGENCE_CAP,
+    seed: int = 0,
+) -> dict[str, np.ndarray]:
+    """kind -> per-context divergence between two policies' full distributions.
+
+    Both arguments expose probs(contexts) -> (n, catalog). When more than
+    ``cap`` contexts are given, a seeded subsample of ``cap`` of them is used.
+    Each chunk of _DIVERGENCE_CHUNK contexts is scored once per policy for all
+    kinds. KL support violations name the offending context's position.
+    """
+    if set(kinds) - {"kl", "js"}:
+        raise ValueError(f"divergence kinds must be kl or js, got {kinds!r}")
+    contexts = RaggedContexts.of(contexts)
+    if not len(contexts):
+        raise ValueError("contexts must be non-empty")
+    if cap is not None and cap < 1:
+        raise ValueError(f"divergence cap must be >= 1, got {cap}")
+    if cap is not None and len(contexts) > cap:
+        keep = np.random.default_rng(seed).choice(len(contexts), size=cap, replace=False)
+        keep.sort()
+        contexts = contexts[keep]
+    values = {kind: np.empty(len(contexts)) for kind in kinds}
+    for start in range(0, len(contexts), _DIVERGENCE_CHUNK):
+        chunk = contexts[start : start + _DIVERGENCE_CHUNK]
+        p = np.asarray(model.probs(chunk), dtype=float)
+        q = np.asarray(logging_estimate.probs(chunk), dtype=float)
+        for kind, out in values.items():
+            out[start : start + len(chunk)] = (
+                _js_rows(p, q) if kind == "js" else _kl_rows(p, q, first_context=start)
+            )
+    return values
+
+
 def mean_divergence(
     model,
     logging_estimate,
     contexts,
     kind: str = "js",
-    cap: int = DEFAULT_DIVERGENCE_CAP,
+    cap: int | None = DEFAULT_DIVERGENCE_CAP,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Average per-context divergence between two policies' full distributions.
-
-    Both arguments expose probs(contexts) -> (n, catalog). When more than
-    ``cap`` contexts are given, a seeded subsample of ``cap`` of them is used.
-    Returns (mean, standard_error). KL support violations name the offending
-    context's position. Contexts are scored in chunks of _DIVERGENCE_CHUNK, so
-    memory does not grow with their number.
-    """
-    if kind not in ("kl", "js"):
-        raise ValueError(f"divergence kind must be kl or js, got {kind!r}")
-    contexts = [tuple(c) for c in contexts]
-    if not contexts:
-        raise ValueError("contexts must be non-empty")
-    if cap is not None and len(contexts) > cap:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(contexts), size=cap, replace=False)
-        keep.sort()
-        contexts = [contexts[i] for i in keep]
-    values = np.empty(len(contexts))
-    for start in range(0, len(contexts), _DIVERGENCE_CHUNK):
-        chunk = contexts[start : start + _DIVERGENCE_CHUNK]
-        p = np.asarray(model.probs(chunk), dtype=float)
-        q = np.asarray(logging_estimate.probs(chunk), dtype=float)
-        values[start : start + len(chunk)] = (
-            _js_rows(p, q) if kind == "js" else _kl_rows(p, q, first_context=start)
-        )
-    summary = summarize(values)
-    return summary.value, (summary.stderr if summary.stderr is not None else 0.0)
+    """Mean and standard error of one kind of :func:`divergence_rows`."""
+    rows = divergence_rows(model, logging_estimate, contexts, (kind,), cap, seed)
+    summary = summarize(rows[kind])
+    return summary.value, summary.stderr
 
 
 # -- model selection and breakdowns --------------------------------------------------

@@ -80,16 +80,12 @@ class ObjectiveConfig:
 
 @dataclass
 class ExampleBatch:
-    """Vectorized view of training examples with cached padding.
+    """Vectorized training examples, contexts as ragged views, with cached padding."""
 
-    ``contexts`` and ``next_contexts`` are lists of tuples, or RaggedContexts
-    views into a split's items when the batch was built from ExampleColumns.
-    """
-
-    contexts: list[tuple[int, ...]] | RaggedContexts
+    contexts: RaggedContexts
     actions: np.ndarray
     rewards: np.ndarray
-    next_contexts: list[tuple[int, ...]] | RaggedContexts
+    next_contexts: RaggedContexts
     terminals: np.ndarray
     reward_to_go: np.ndarray
     _padding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -107,17 +103,12 @@ class ExampleBatch:
         return self._padding[recency]
 
 
-def discounted_reward_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
-    """G_t = sum_{s >= t} discount^(s-t) r_s over one sequence's rewards."""
-    return discounted_returns(rewards, [len(rewards)], discount)
-
-
 def reward_to_go(examples: list[TrainingExample], discount: float) -> np.ndarray:
-    """Reward-to-go for one sequence's examples, ordered by position."""
+    """G_t = sum_{s >= t} discount^(s-t) r_s for one sequence's examples, by position."""
     positions = [ex.position for ex in examples]
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ValueError("examples must be ordered by position within one sequence")
-    return discounted_reward_to_go(np.array([ex.reward for ex in examples]), discount)
+    return discounted_returns([ex.reward for ex in examples], [len(examples)], discount)
 
 
 def attach_reward_to_go(examples: list[TrainingExample], discount: float) -> np.ndarray:
@@ -146,42 +137,29 @@ def build_batch(
 ) -> ExampleBatch:
     """Collate examples into a batch, padded for ``recency`` if given.
 
-    ``examples`` is a list of TrainingExample, or a split's ExampleColumns of
-    which the index array ``rows`` (default: all) selects the batch; its
-    contexts are then views into the split's items. ``reward_to_go`` must
-    align with the batch; it defaults to the columns' own reward-to-go, or to
-    each listed example's reward.
+    ``examples`` is an ExampleColumns, or a list of TrainingExample turned
+    into one first; the index array ``rows`` (default: all) selects the
+    batch, whose contexts are views into the columns' items. ``reward_to_go``
+    must align with the batch; it defaults to the columns' own reward-to-go,
+    which for a list is each example's reward.
     """
-    if isinstance(examples, ExampleColumns):
-        rows = np.arange(len(examples)) if rows is None else np.asarray(rows, dtype=np.int64)
-        contexts = examples.contexts[rows]
-        next_contexts = RaggedContexts(contexts.items, contexts.starts, contexts.lengths + 1)
-        actions, rewards = examples.actions[rows], examples.rewards[rows]
-        terminals = examples.terminals[rows]
-        default_rtg = examples.reward_to_go[rows]
-    else:
-        if rows is not None:
-            raise ValueError("rows index ExampleColumns only; slice the list instead")
-        contexts = [ex.context for ex in examples]
-        next_contexts = [ex.next_context for ex in examples]
-        actions = np.array([ex.action for ex in examples], dtype=np.int64)
-        rewards = np.array([ex.reward for ex in examples])
-        terminals = np.array([ex.terminal for ex in examples], dtype=bool)
-        default_rtg = rewards
-    if not len(actions):
+    examples = ExampleColumns.of(examples)
+    rows = np.arange(len(examples)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if not len(rows):
         raise ValueError("batch must be non-empty")
     if reward_to_go is None:
-        reward_to_go = default_rtg
-    elif len(reward_to_go) != len(actions):
+        reward_to_go = examples.reward_to_go[rows]
+    elif len(reward_to_go) != len(rows):
         raise ValueError(
-            f"reward_to_go has {len(reward_to_go)} entries for a batch of {len(actions)}"
+            f"reward_to_go has {len(reward_to_go)} entries for a batch of {len(rows)}"
         )
+    contexts = examples.contexts[rows]
     batch = ExampleBatch(
         contexts=contexts,
-        actions=actions,
-        rewards=rewards,
-        next_contexts=next_contexts,
-        terminals=terminals,
+        actions=examples.actions[rows],
+        rewards=examples.rewards[rows],
+        next_contexts=RaggedContexts(contexts.items, contexts.starts, contexts.lengths + 1),
+        terminals=examples.terminals[rows],
         reward_to_go=np.array(reward_to_go, dtype=float),
     )
     if recency is not None:
@@ -201,7 +179,7 @@ def _behavior_probs(logging_policy, batch: ExampleBatch) -> np.ndarray:
     """(n, catalog) action probabilities of the batch's contexts under mu_hat.
 
     ``logging_policy`` is a SequenceModel, scored on the batch padded with its
-    own recency (cached on the batch), or a callable mapping a list of
+    own recency (cached on the batch), or a callable mapping a sequence of
     contexts to that array.
     """
     if isinstance(logging_policy, SequenceModel):
@@ -255,10 +233,10 @@ def prepare_step(
     """Compute the step's constants from the current model state.
 
     ``logging_policy`` is the estimated logging policy, a SequenceModel or a
-    callable mapping a list of contexts to an (n, catalog) action probability
-    array. Kinds in BEHAVIOR_KINDS require it and score it on this batch;
-    the others never read it. ``target_model`` supplies TD target values
-    when td_weight > 0.
+    callable mapping a sequence of contexts to an (n, catalog) action
+    probability array. Kinds in BEHAVIOR_KINDS require it and score it on
+    this batch; the others never read it. ``target_model`` supplies TD target
+    values when td_weight > 0.
     """
     padded, next_padded = batch.pad(model.config.recency)
     n = len(batch)

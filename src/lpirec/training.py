@@ -3,7 +3,7 @@
 Training is plain minibatch gradient descent with Adam: the train split's
 loss-window examples are expanded once into flat arrays, collated into fixed
 minibatches by index arrays into them, and visited in a reshuffled order
-every epoch.
+every epoch; validation and test examples use the same flat arrays.
 Objectives that bootstrap (td_weight > 0) maintain a target model refreshed
 by hard copy every ``target_refresh`` updates. After every epoch the model is
 scored on the validation split and the best-scoring parameters are kept.
@@ -25,10 +25,11 @@ import numpy as np
 from .config import RunConfig
 from .data import (
     Dataset,
+    ExampleColumns,
     PreprocessRules,
     TrainingExample,
     expand_columns,
-    expand_examples,
+    expand_examples,  # unused here; cyclebench's tracer wraps this name
     load_interactions_csv,
     preprocess,
     split,
@@ -38,8 +39,9 @@ from .metrics import (
     MetricsReport,
     MetricSummary,
     breakdown_report,
+    divergence_rows,
     hit_rate_samples,
-    mean_divergence,
+    mean_divergence,  # unused here; cyclebench's tracer wraps this name
     model_selection_score,
     ndcg_samples,
     ranks_from_scores,
@@ -52,7 +54,7 @@ from .objectives import (
     evaluate_prepared,
     prepare_step,
 )
-from .policy import SequenceModel, load_checkpoint, log_softmax, save_checkpoint
+from .policy import SequenceModel, load_checkpoint, log_softmax, save_checkpoint, softmax
 from .synth import ImputationModel, fit_weighted_mf, impute_reward
 
 LOG_SCHEMA_VERSION = 1
@@ -87,18 +89,6 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     return split(dataset, fractions, cfg.seed)
 
 
-def _window_examples(
-    dataset: Dataset, split_name: str, cfg: RunConfig
-) -> list[TrainingExample]:
-    """Expanded examples of a split restricted to the loss window."""
-    return [
-        ex
-        for seq in dataset.sequences_in(split_name)
-        for ex in expand_examples(seq, cfg.loss_window)
-        if ex.in_loss_window
-    ]
-
-
 def _make_batches(columns, batch_size: int, recency: float, rng: np.random.Generator):
     order = rng.permutation(len(columns))
     return [
@@ -115,8 +105,6 @@ def batched_policy_scores(model: SequenceModel, contexts, chunk: int = 2048) -> 
 
 
 def batched_probs(model: SequenceModel, contexts, chunk: int = 2048) -> np.ndarray:
-    from .policy import softmax
-
     return softmax(batched_policy_scores(model, contexts, chunk))
 
 
@@ -157,11 +145,9 @@ def report_selection_score(report: MetricsReport, r_p: float, r_c: float) -> flo
     return float(best.value) if best is not None else None
 
 
-def _validation_log_loss(model: SequenceModel, examples) -> float:
-    contexts = [ex.context for ex in examples]
-    actions = np.array([ex.action for ex in examples])
-    logp = log_softmax(batched_policy_scores(model, contexts))
-    return float(-logp[np.arange(len(actions)), actions].mean())
+def _validation_log_loss(model: SequenceModel, columns: ExampleColumns) -> float:
+    logp = log_softmax(batched_policy_scores(model, columns.contexts))
+    return float(-logp[np.arange(len(columns)), columns.actions].mean())
 
 
 def train_model(
@@ -180,6 +166,8 @@ def train_model(
     no validation score the final model is kept. A non-finite loss or
     gradient aborts training and keeps the best (or last good) parameters.
     """
+    if select_by not in ("score", "log_loss"):
+        raise ValueError(f'select_by must be "score" or "log_loss", got {select_by!r}')
     objective = objective or cfg.objective_config()
     encoder = encoder or cfg.encoder_config(dataset.catalog_size)
     if behavior_model is not None:
@@ -193,7 +181,9 @@ def train_model(
     batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
     batches = _make_batches(columns, cfg.batch_size, encoder.recency, batch_rng)
 
-    val_examples = _window_examples(dataset, "validation", cfg)
+    val_columns = expand_columns(
+        dataset.sequences_in("validation"), cfg.loss_window, cfg.discount
+    )
 
     model = SequenceModel.initialize(encoder, cfg.seed + seed_offset)
     adam = Adam(
@@ -243,13 +233,13 @@ def train_model(
             "mean_td_term": td_sum / len(batches),
         }
         score = None
-        if val_examples:
+        if len(val_columns):
             if select_by == "log_loss":
-                val_ll = _validation_log_loss(model, val_examples)
+                val_ll = _validation_log_loss(model, val_columns)
                 score = -val_ll
                 entry["val_log_loss"] = val_ll
             else:
-                report = evaluate_examples(model, val_examples, cfg)
+                report = evaluate_examples(model, val_columns, cfg)
                 entry["validation"] = report.to_json_dict()
                 score = report_selection_score(report, cfg.reward_purchase, cfg.reward_click)
                 if score is not None:
@@ -337,7 +327,7 @@ def fit_imputation(dataset: Dataset, cfg: RunConfig) -> tuple[ImputationModel, d
 
 def evaluate_examples(
     model: SequenceModel,
-    examples: list[TrainingExample],
+    examples: list[TrainingExample] | ExampleColumns,
     cfg: RunConfig,
     behavior_model: SequenceModel | None = None,
     imputation: ImputationModel | None = None,
@@ -345,18 +335,17 @@ def evaluate_examples(
     sequence_lengths: dict[str, int] | None = None,
     metadata: dict[str, str] | None = None,
 ) -> MetricsReport:
-    """Full metric report over examples.
+    """Full metric report over examples, given as columns or as a list.
 
     Always reports HR@k / nDCG@k at the configured cutoffs (split by event
     type when several are present) and AR@1. Optional inputs add iAR@1
     (imputation + user_index), the action-count breakdown (sequence_lengths),
     and mean JS/KL against the behavior estimate.
     """
-    if not examples:
+    examples = ExampleColumns.of(examples)
+    if not len(examples):
         raise ValueError("cannot evaluate an empty example set")
-    contexts = [ex.context for ex in examples]
-    actions = np.array([ex.action for ex in examples], dtype=np.int64)
-    rewards = np.array([ex.reward for ex in examples])
+    contexts, actions = examples.contexts, examples.actions
     scores = batched_policy_scores(model, contexts)
     ranks = ranks_from_scores(scores, actions)
     ks = cfg.eval_ks_list()
@@ -365,52 +354,39 @@ def evaluate_examples(
     for k in ks:
         metrics[f"hr_at_{k}"] = summarize(hit_rate_samples(ranks, k))
         metrics[f"ndcg_at_{k}"] = summarize(ndcg_samples(ranks, k))
-    events = sorted({ex.event for ex in examples})
+    events = sorted(set(examples.events))
     if len(events) > 1:
         for event in events:
-            mask = np.array([ex.event == event for ex in examples], dtype=bool)
+            mask = examples.events == event
             for k in ks:
                 metrics[f"hr_{event}_at_{k}"] = summarize(hit_rate_samples(ranks[mask], k))
                 metrics[f"ndcg_{event}_at_{k}"] = summarize(ndcg_samples(ranks[mask], k))
 
     greedy = scores.argmax(axis=1)
-    metrics["ar_at_1"] = summarize(rewards * (greedy == actions))
+    metrics["ar_at_1"] = summarize(examples.rewards * (greedy == actions))
     if imputation is not None:
         if user_index is None:
             raise ValueError("imputation metrics need the sequence-to-user index")
-        imputed = np.array(
-            [
-                impute_reward(imputation, user_index[ex.sequence_id], int(item))
-                for ex, item in zip(examples, greedy)
-            ]
-        )
+        users = [user_index[sid] for sid in examples.sequence_ids]
+        imputed = [impute_reward(imputation, u, int(item)) for u, item in zip(users, greedy)]
         metrics["iar_at_1"] = summarize(imputed)
 
     breakdown = None
     if sequence_lengths is not None:
         ndcg20 = ndcg_samples(ranks, _BREAKDOWN_K)
-        by_sequence: dict[str, list[int]] = {}
-        for i, ex in enumerate(examples):
-            by_sequence.setdefault(ex.sequence_id, []).append(i)
-        seq_ids = sorted(by_sequence)
-        per_seq = [float(ndcg20[by_sequence[sid]].mean()) for sid in seq_ids]
+        seq_ids, owner = np.unique(examples.sequence_ids, return_inverse=True)
+        grouped = ndcg20[np.argsort(owner, kind="stable")]
+        bounds = np.cumsum(np.bincount(owner))[:-1]
+        per_seq = [float(values.mean()) for values in np.split(grouped, bounds)]
         counts = [sequence_lengths[sid] for sid in seq_ids]
         breakdown = breakdown_report(per_seq, counts, max_count=cfg.max_length).breakdown
 
     if behavior_model is not None:
-        n_div = min(len(contexts), cfg.divergence_cap)
-        for kind in ("js", "kl"):
-            mean, stderr = mean_divergence(
-                model,
-                behavior_model,
-                contexts,
-                kind=kind,
-                cap=cfg.divergence_cap,
-                seed=cfg.seed,
-            )
-            metrics[f"{kind}_vs_behavior"] = MetricSummary(
-                value=mean, count=n_div, stderr=stderr
-            )
+        rows = divergence_rows(
+            model, behavior_model, contexts, cap=cfg.divergence_cap, seed=cfg.seed
+        )
+        for kind, values in rows.items():
+            metrics[f"{kind}_vs_behavior"] = summarize(values)
 
     return MetricsReport(metrics=metrics, breakdown=breakdown, metadata=metadata)
 
@@ -423,8 +399,8 @@ def evaluate_split(
     behavior_model: SequenceModel | None = None,
 ) -> MetricsReport:
     """Evaluate a model on one split with every configured metric family."""
-    examples = _window_examples(dataset, split_name, cfg)
-    if not examples:
+    examples = expand_columns(dataset.sequences_in(split_name), cfg.loss_window, cfg.discount)
+    if not len(examples):
         raise ValueError(f"split {split_name!r} has no evaluable examples")
     sequence_lengths = {s.id: len(s) for s in dataset.sequences_in(split_name)}
     imputation = None

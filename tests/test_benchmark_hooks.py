@@ -10,14 +10,18 @@ from lpirec import training
 from lpirec.config import RunConfig
 from lpirec.data import Dataset, Interaction, SessionSequence
 
-SPANS = Path(__file__).resolve().parents[1] / "cyclebench" / "spans.py"
+CYCLEBENCH = Path(__file__).resolve().parents[1] / "cyclebench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("cyclebench_spans", SPANS)
+def load_cyclebench(name):
+    spec = importlib.util.spec_from_file_location(f"cyclebench_{name}", CYCLEBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_cyclebench("spans")
 
 
 def test_every_traced_boundary_resolves_to_a_callable():
@@ -65,3 +69,17 @@ def test_train_model_calls_evaluate_prepared_once_per_step_on_every_window_examp
         per_epoch / cfg.batch_size
     )
     assert sum(batch_sizes) == cfg.epochs * per_epoch
+
+
+def test_cyclebench_checks_pass_on_a_small_world():
+    # the checks build batches from TrainingExample lists and read batch.contexts
+    checks = load_cyclebench("checks")
+    cfg = RunConfig(data_source="synthetic", synthetic_sessions=300, objective="lpi", beta=0.5,
+                    td_weight=1.0, discount=0.5, epochs=1, behavior_epochs=1, dim=8, seed=0)
+    dataset = training.load_dataset(cfg)
+    behavior = training.fit_behavior_model(dataset, cfg)
+    model = training.train_model(dataset, cfg, behavior_model=behavior).model
+    report = training.evaluate_split(model, dataset, "test", cfg, behavior)
+    assert checks.check_preprocessing(dataset, cfg) == []
+    assert checks.check_gradients(model, behavior, dataset, cfg) == []
+    assert checks.check_ranking(model, report, dataset, cfg, seed=0) == []

@@ -348,6 +348,13 @@ def test_mean_divergence_kl_support_violation_names_the_context():
         mean_divergence(RowPolicy([1.0]), RowPolicy([1.0]), [])
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_divergence_cap_below_one_is_rejected(cap):
+    contexts = [(0,), (1,)]
+    with pytest.raises(ValueError, match=rf"cap must be >= 1, got {cap}"):
+        mean_divergence(RowPolicy([0.5, 0.5]), RowPolicy([0.5, 0.5]), contexts, cap=cap)
+
+
 def sparse_distributions(rng, n, k):
     """n distributions over k items with about a third of the entries zero."""
     rows = rng.dirichlet(np.ones(k), size=n)

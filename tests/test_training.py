@@ -23,7 +23,13 @@ from lpirec.data import (
     expand_examples,
 )
 from lpirec.encoder import EncoderConfig, pad_contexts
-from lpirec.metrics import MetricsReport, MetricSummary, breakdown_report, ndcg_samples
+from lpirec.metrics import (
+    MetricsReport,
+    MetricSummary,
+    breakdown_report,
+    mean_divergence,
+    ndcg_samples,
+)
 from lpirec.objectives import ObjectiveConfig, attach_reward_to_go, build_batch
 from lpirec.policy import SequenceModel, load_checkpoint, save_checkpoint
 from lpirec.synth import (
@@ -310,17 +316,23 @@ def test_columnar_batches_equal_batches_of_expanded_examples(discount):
         rows = order[start : start + 5]
         got = build_batch(columns, recency=0.7, rows=rows)
         want = build_batch([examples[i] for i in rows], rtg[rows], recency=0.7)
-        assert list(got.contexts) == want.contexts
-        assert list(got.next_contexts) == want.next_contexts
+        contexts = [examples[i].context for i in rows]
+        next_contexts = [examples[i].next_context for i in rows]
+        assert list(got.contexts) == list(want.contexts) == contexts
+        assert list(got.next_contexts) == list(want.next_contexts) == next_contexts
         for name in ("actions", "rewards", "terminals", "reward_to_go"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert getattr(got, name).dtype == getattr(want, name).dtype
-        for padded, reference in zip(got.pad(0.7), want.pad(0.7)):
+        # the list padding path is the independent reference
+        references = (pad_contexts(contexts, 0.7), pad_contexts(next_contexts, 0.7))
+        for padded, listed, reference in zip(got.pad(0.7), want.pad(0.7), references):
             for name in ("indices", "weights", "lengths"):
                 np.testing.assert_array_equal(getattr(padded, name), getattr(reference, name))
+                np.testing.assert_array_equal(getattr(listed, name), getattr(reference, name))
 
 
 def test_train_model_never_expands_a_train_sequence(monkeypatch):
+    # no split is expanded into TrainingExample objects, in training or evaluation
     cfg = synth_cfg(epochs=1, synthetic_sessions=300)
     dataset = load_dataset(cfg)
     expanded = []
@@ -331,8 +343,17 @@ def test_train_model_never_expands_a_train_sequence(monkeypatch):
         return original(sequence, loss_window)
 
     monkeypatch.setattr(training, "expand_examples", spy)
-    train_model(dataset, cfg, objective=ObjectiveConfig(kind="ce"))
-    assert expanded and "train" not in expanded
+    result = train_model(dataset, cfg, objective=ObjectiveConfig(kind="ce"))
+    assert "validation" in result.log[-1]
+    evaluate_split(result.model, dataset, "test", cfg, behavior_model=result.model)
+    assert expanded == []
+
+
+def test_an_unknown_select_by_is_rejected():
+    rows = [[i % 4, (i + 1) % 4, (i + 3) % 4] for i in range(12)]
+    dataset = dataset_of(rows, catalog=4, n_validation=2)
+    with pytest.raises(ValueError, match='"score" or "log_loss", got \'loglos\''):
+        train_model(dataset, RunConfig(epochs=1, dim=4), select_by="loglos")
 
 
 def test_behavior_model_is_fitted_only_for_weighted_objectives():
@@ -651,6 +672,103 @@ def test_behavior_divergence_metrics_compare_policies():
     report = evaluate_examples(model, examples, cfg, behavior_model=shifted)
     assert report.metrics["js_vs_behavior"].value > 0.0
     assert report.metrics["kl_vs_behavior"].value > 0.0
+
+
+def mixed_sequences(n, catalog, seed):
+    """Sequences of clicks and purchases with varied lengths and rewards."""
+    rng = np.random.default_rng(seed)
+    sequences = []
+    for i in range(n):
+        length = int(rng.integers(1, 9))
+        events = rng.choice(["click", "purchase"], size=length, p=[0.7, 0.3])
+        interactions = [
+            Interaction(item=int(item), event=str(event), reward=float(reward), timestamp=t)
+            for t, (item, event, reward) in enumerate(
+                zip(rng.integers(0, catalog, size=length), events, rng.uniform(0, 1, size=length))
+            )
+        ]
+        sequences.append(SessionSequence(id=f"q{i:03d}", interactions=interactions))
+    return sequences
+
+
+def test_evaluate_examples_reads_a_list_and_its_columns_alike():
+    catalog = 7
+    sequences = mixed_sequences(60, catalog, seed=4)
+    cfg = RunConfig(eval_ks="1,3,20", loss_window=4, max_length=8)
+    listed = [
+        ex for seq in sequences for ex in expand_examples(seq, cfg.loss_window)
+        if ex.in_loss_window
+    ]
+    columns = expand_columns(sequences, cfg.loss_window, cfg.discount)
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=catalog, dim=4), seed=1)
+    behavior = SequenceModel.initialize(EncoderConfig(catalog_size=catalog, dim=4), seed=2)
+    imputation = fit_weighted_mf(
+        [(u, it.item, it.reward) for u, seq in enumerate(sequences) for it in seq.interactions],
+        f=2, missing_target=0.2, missing_weight=0.1, seed=0, n_users=len(sequences),
+        n_items=catalog,
+    )
+    extras = dict(
+        behavior_model=behavior,
+        imputation=imputation,
+        user_index={seq.id: u for u, seq in enumerate(sequences)},
+        sequence_lengths={seq.id: len(seq) for seq in sequences},
+    )
+    from_list = evaluate_examples(model, listed, cfg, **extras)
+    from_columns = evaluate_examples(model, columns, cfg, **extras)
+    assert {"ndcg_purchase_at_3", "iar_at_1", "kl_vs_behavior"} <= set(from_list.metrics)
+    assert from_list.breakdown is not None
+    assert from_columns.to_json() == from_list.to_json()
+
+
+def test_a_model_against_itself_has_exactly_zero_divergence():
+    sequences = mixed_sequences(700, 9, seed=5)
+    columns = expand_columns(sequences, loss_window=8, discount=0.0)
+    assert len(columns) > 2_500  # more than two divergence chunks
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=9, dim=6), seed=3)
+    report = evaluate_examples(model, columns, RunConfig(eval_ks="1"), behavior_model=model)
+    for kind in ("js", "kl"):
+        summary = report.metrics[f"{kind}_vs_behavior"]
+        assert (summary.value, summary.stderr, summary.count) == (0.0, 0.0, len(columns))
+
+
+def test_capped_divergences_equal_mean_divergence_for_each_kind():
+    sequences = mixed_sequences(300, 8, seed=6)
+    columns = expand_columns(sequences, loss_window=8, discount=0.0)
+    cfg = RunConfig(eval_ks="1", divergence_cap=500, seed=11)
+    assert len(columns) > cfg.divergence_cap
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=8, dim=4), seed=1)
+    behavior = SequenceModel.initialize(EncoderConfig(catalog_size=8, dim=4), seed=2)
+    report = evaluate_examples(model, columns, cfg, behavior_model=behavior)
+    contexts = list(columns.contexts)
+    for kind in ("js", "kl"):
+        summary = report.metrics[f"{kind}_vs_behavior"]
+        assert summary.count == cfg.divergence_cap
+        expected = mean_divergence(
+            model, behavior, contexts, kind=kind, cap=cfg.divergence_cap, seed=cfg.seed
+        )
+        assert (summary.value, summary.stderr) == expected
+
+
+class CountingModel(SequenceModel):
+    """Counts the contexts every policy_logits call scores."""
+
+    scored = 0
+
+    def policy_logits(self, contexts):
+        self.scored += len(contexts)
+        return super().policy_logits(contexts)
+
+
+def test_evaluation_scores_the_behavior_model_once_and_the_model_twice():
+    cfg = synth_cfg(epochs=1, behavior_epochs=1, synthetic_sessions=300)
+    dataset = load_dataset(cfg)
+    n = len(expand_columns(dataset.sequences_in("test"), cfg.loss_window, cfg.discount))
+    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8)
+    model = CountingModel(encoder, SequenceModel.initialize(encoder, 1).params)
+    behavior = CountingModel(encoder, SequenceModel.initialize(encoder, 2).params)
+    evaluate_split(model, dataset, "test", cfg, behavior_model=behavior)
+    # the model ranks every context and is scored again for the divergences
+    assert (model.scored, behavior.scored) == (2 * n, n)
 
 
 # -- evaluate_split -------------------------------------------------------------
