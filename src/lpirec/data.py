@@ -328,6 +328,12 @@ class ExampleColumns:
         """
         if isinstance(examples, cls):
             return examples
+        for i, ex in enumerate(examples):
+            if tuple(ex.next_context) != (*ex.context, ex.action):
+                raise ValueError(
+                    f"example {i}: next context {tuple(ex.next_context)} is not its "
+                    f"context {tuple(ex.context)} followed by its action {ex.action}"
+                )
         following = RaggedContexts.of(ex.next_context for ex in examples)
         rewards = np.array([ex.reward for ex in examples], dtype=float)
         return cls(

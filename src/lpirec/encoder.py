@@ -73,7 +73,7 @@ def pad_contexts(contexts, recency: float) -> PaddedBatch:
     column = lengths[:, None]
     mask = positions < column
     exponent = np.where(mask, column - 1 - positions, 0)
-    weights = np.where(mask, float(recency) ** exponent, 0.0)
+    weights = np.where(mask, (float(recency) ** positions)[exponent], 0.0)
     norm = weights.sum(axis=1, keepdims=True)
     np.divide(weights, norm, out=weights, where=norm > 0)
     if ragged:

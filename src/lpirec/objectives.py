@@ -80,7 +80,7 @@ class ObjectiveConfig:
 
 @dataclass
 class ExampleBatch:
-    """Vectorized training examples, contexts as ragged views, with cached padding."""
+    """Vectorized training examples, contexts as ragged views, padded on first use."""
 
     contexts: RaggedContexts
     actions: np.ndarray
@@ -93,34 +93,52 @@ class ExampleBatch:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def pad(self, recency: float) -> tuple[PaddedBatch, PaddedBatch]:
-        """(contexts, next contexts) padded with ``recency``; built once per recency."""
-        if recency not in self._padding:
-            self._padding[recency] = (
-                pad_contexts(self.contexts, recency),
-                pad_contexts(self.next_contexts, recency),
-            )
-        return self._padding[recency]
+    def pad(self, recency: float) -> PaddedBatch:
+        """Contexts padded with ``recency``; built once per recency."""
+        return self._padded("contexts", recency)
+
+    def pad_next(self, recency: float) -> PaddedBatch:
+        """Next contexts padded with ``recency``; built once per recency."""
+        return self._padded("next_contexts", recency)
+
+    def _padded(self, name: str, recency: float) -> PaddedBatch:
+        if (name, recency) not in self._padding:
+            self._padding[name, recency] = pad_contexts(getattr(self, name), recency)
+        return self._padding[name, recency]
+
+
+def _check_consecutive(examples: list[TrainingExample]) -> None:
+    positions = [ex.position for ex in examples]
+    if any(b != a + 1 for a, b in zip(positions, positions[1:])):
+        raise ValueError(
+            f"sequence {examples[0].sequence_id!r}: example positions {positions} must be "
+            "ordered and consecutive, one example per position"
+        )
 
 
 def reward_to_go(examples: list[TrainingExample], discount: float) -> np.ndarray:
-    """G_t = sum_{s >= t} discount^(s-t) r_s for one sequence's examples, by position."""
-    positions = [ex.position for ex in examples]
-    if any(b <= a for a, b in zip(positions, positions[1:])):
-        raise ValueError("examples must be ordered by position within one sequence")
+    """G_t = sum_{s >= t} discount^(s-t) r_s for one sequence's examples, by position.
+
+    The examples must be ordered by position, one per position, with no gap.
+    """
+    _check_consecutive(examples)
     return discounted_returns([ex.reward for ex in examples], [len(examples)], discount)
 
 
 def attach_reward_to_go(examples: list[TrainingExample], discount: float) -> np.ndarray:
     """Per-example reward-to-go computed within each source sequence.
 
-    Examples must include every position of each sequence they mention (the
-    expansion output, before any loss-window filtering).
+    Each sequence's examples must cover consecutive positions, one example
+    per position, as the expansion output does before any loss-window
+    filtering; a gap or a repeated position is rejected. The run need not
+    reach the sequence's end.
     """
     by_sequence: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
         by_sequence.setdefault(ex.sequence_id, []).append(i)
     groups = [sorted(ix, key=lambda i: examples[i].position) for ix in by_sequence.values()]
+    for group in groups:
+        _check_consecutive([examples[i] for i in group])
     order = [i for group in groups for i in group]
     out = np.zeros(len(examples))
     out[order] = discounted_returns(
@@ -135,7 +153,7 @@ def build_batch(
     recency: float | None = None,
     rows: np.ndarray | None = None,
 ) -> ExampleBatch:
-    """Collate examples into a batch, padded for ``recency`` if given.
+    """Collate examples into a batch, both halves padded for ``recency`` if given.
 
     ``examples`` is an ExampleColumns, or a list of TrainingExample turned
     into one first; the index array ``rows`` (default: all) selects the
@@ -164,6 +182,7 @@ def build_batch(
     )
     if recency is not None:
         batch.pad(recency)
+        batch.pad_next(recency)
     return batch
 
 
@@ -183,7 +202,7 @@ def _behavior_probs(logging_policy, batch: ExampleBatch) -> np.ndarray:
     contexts to that array.
     """
     if isinstance(logging_policy, SequenceModel):
-        return logging_policy.probs(batch.pad(logging_policy.config.recency)[0])
+        return logging_policy.probs(batch.pad(logging_policy.config.recency))
     return np.asarray(logging_policy(batch.contexts), dtype=float)
 
 
@@ -238,7 +257,7 @@ def prepare_step(
     this batch; the others never read it. ``target_model`` supplies TD target
     values when td_weight > 0.
     """
-    padded, next_padded = batch.pad(model.config.recency)
+    padded = batch.pad(model.config.recency)
     n = len(batch)
     rows = np.arange(n)
 
@@ -288,10 +307,11 @@ def prepare_step(
     if config.td_weight > 0:
         if target_model is None:
             raise ValueError("td_weight > 0 requires a target model")
+        next_padded = batch.pad_next(model.config.recency)
         q_next_online = model.q_values_from(model.encode(next_padded))
         best_next = q_next_online.argmax(axis=-1)
         q_next_target = target_model.q_values_from(
-            target_model.encode(batch.pad(target_model.config.recency)[1])
+            target_model.encode(batch.pad_next(target_model.config.recency))
         )
         bootstrap = q_next_target[rows, best_next]
         td_targets = batch.rewards + np.where(
@@ -331,7 +351,7 @@ def evaluate_prepared(
     if n == 0:
         raise ValueError("batch must be non-empty")
     rows = np.arange(n)
-    cache = model.encode(batch.pad(model.config.recency)[0])
+    cache = model.encode(batch.pad(model.config.recency))
     logits = model.policy_logits_from(cache)
     log_probs = log_softmax(logits)
     weights = prepared.policy_weights

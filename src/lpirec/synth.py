@@ -26,6 +26,22 @@ def _check_rows_simplex(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} rows must be probability distributions")
 
 
+def _check_reward_noise(reward_noise: str, rewards: np.ndarray) -> None:
+    if reward_noise not in ("none", "bernoulli"):
+        raise ValueError(f"unknown reward_noise {reward_noise!r}")
+    if reward_noise == "bernoulli" and np.any(rewards > 1):  # instances reject rewards < 0
+        raise ValueError("bernoulli noise requires rewards in [0, 1]")
+
+
+def _sample_actions(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: per row, the count of cdf entries <= its draw.
+
+    Equals ``searchsorted(side="right")``. A draw at or past a row's rounded
+    total gives the last action.
+    """
+    return np.minimum((cdf <= draws[:, None]).sum(axis=-1), cdf.shape[-1] - 1)
+
+
 @dataclass
 class TabularInstance:
     """A finite contextual bandit, optionally with transitions (an MDP).
@@ -136,21 +152,15 @@ def sample_bandit_logs(
     reward_noise "none" logs the expected reward; "bernoulli" logs a 0/1 draw
     with that mean (rewards must then lie in [0, 1]).
     """
+    _check_reward_noise(reward_noise, instance.rewards)
     contexts = rng.choice(instance.n_contexts, size=n, p=instance.context_probs)
     cdf = np.cumsum(instance.behavior, axis=-1)
-    draws = rng.random(n)
-    actions = np.minimum(
-        (draws[:, None] < cdf[contexts]).argmax(axis=-1), instance.catalog_size - 1
-    )
+    actions = _sample_actions(cdf[contexts], rng.random(n))
     means = instance.rewards[contexts, actions]
-    if reward_noise == "none":
-        rewards = means.copy()
-    elif reward_noise == "bernoulli":
-        if np.any(instance.rewards > 1):
-            raise ValueError("bernoulli noise requires rewards in [0, 1]")
+    if reward_noise == "bernoulli":
         rewards = (rng.random(n) < means).astype(float)
     else:
-        raise ValueError(f"unknown reward_noise {reward_noise!r}")
+        rewards = means.copy()
     return contexts, actions, rewards
 
 
@@ -239,8 +249,9 @@ def generate_sessions(
         raise ValueError("n_sessions must be >= 1")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    rng = np.random.default_rng(world.seed if seed is None else seed)
     instance = world.instance
+    _check_reward_noise(reward_noise, instance.rewards)
+    rng = np.random.default_rng(world.seed if seed is None else seed)
     start_states = rng.choice(world.n_states, size=n_sessions, p=instance.context_probs)
     cdf = np.cumsum(instance.behavior, axis=-1)
     sessions = []
@@ -252,12 +263,7 @@ def generate_sessions(
             action = int(np.searchsorted(cdf[state], rng.random(), side="right"))
             action = min(action, world.catalog_size - 1)
             mean = instance.rewards[state, action]
-            if reward_noise == "bernoulli":
-                reward = float(rng.random() < mean)
-            elif reward_noise == "none":
-                reward = float(mean)
-            else:
-                raise ValueError(f"unknown reward_noise {reward_noise!r}")
+            reward = float(rng.random() < mean) if reward_noise == "bernoulli" else float(mean)
             inters.append(
                 Interaction(item=action, event=EVENT_SYNTH, reward=reward, timestamp=t + 1)
             )
@@ -326,9 +332,7 @@ def simulate_policy_value(
     cdf = np.cumsum(policy_matrix, axis=-1)
     totals = np.zeros(n_sessions)
     for _ in range(horizon):
-        draws = rng.random(n_sessions)
-        actions = (draws[:, None] < cdf[states]).argmax(axis=-1)
-        actions = np.minimum(actions, world.catalog_size - 1)
+        actions = _sample_actions(cdf[states], rng.random(n_sessions))
         totals += world.instance.rewards[states, actions]
         states = actions % world.n_states
     per_session = totals / horizon

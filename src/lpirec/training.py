@@ -1,9 +1,9 @@
 """Training loop and the train/eval/diagnose pipelines behind the CLI.
 
 Training is plain minibatch gradient descent with Adam: the train split's
-loss-window examples are expanded once into flat arrays, collated into fixed
-minibatches by index arrays into them, and visited in a reshuffled order
-every epoch; validation and test examples use the same flat arrays.
+loss-window examples are expanded once into flat arrays and cut into fixed
+minibatches of row indices, visited in a reshuffled order every epoch; each
+step builds and pads its own batch. Validation and test use the same arrays.
 Objectives that bootstrap (td_weight > 0) maintain a target model refreshed
 by hard copy every ``target_refresh`` updates. After every epoch the model is
 scored on the validation split and the best-scoring parameters are kept.
@@ -89,14 +89,6 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     return split(dataset, fractions, cfg.seed)
 
 
-def _make_batches(columns, batch_size: int, recency: float, rng: np.random.Generator):
-    order = rng.permutation(len(columns))
-    return [
-        build_batch(columns, recency=recency, rows=order[start : start + batch_size])
-        for start in range(0, len(order), batch_size)
-    ]
-
-
 def batched_policy_scores(model: SequenceModel, contexts, chunk: int = 2048) -> np.ndarray:
     rows = []
     for start in range(0, len(contexts), chunk):
@@ -179,7 +171,8 @@ def train_model(
     if not len(columns):
         raise ValueError("train split expands to no examples")
     batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
-    batches = _make_batches(columns, cfg.batch_size, encoder.recency, batch_rng)
+    shuffled = batch_rng.permutation(len(columns))
+    batch_rows = np.split(shuffled, np.arange(cfg.batch_size, len(shuffled), cfg.batch_size))
 
     val_columns = expand_columns(
         dataset.sequences_in("validation"), cfg.loss_window, cfg.discount
@@ -199,10 +192,10 @@ def train_model(
     aborted = False
 
     for epoch in range(1, cfg.epochs + 1):
-        order = batch_rng.permutation(len(batches))
+        order = batch_rng.permutation(len(batch_rows))
         loss_sum = policy_sum = td_sum = 0.0
         for index in order:
-            batch = batches[index]
+            batch = build_batch(columns, rows=batch_rows[index])
             try:
                 prepared = prepare_step(model, batch, objective, behavior_model, target)
                 result = evaluate_prepared(model, batch, objective, prepared)
@@ -228,9 +221,9 @@ def train_model(
             "type": "epoch",
             "epoch": epoch,
             "steps": steps,
-            "mean_loss": loss_sum / len(batches),
-            "mean_policy_term": policy_sum / len(batches),
-            "mean_td_term": td_sum / len(batches),
+            "mean_loss": loss_sum / len(batch_rows),
+            "mean_policy_term": policy_sum / len(batch_rows),
+            "mean_td_term": td_sum / len(batch_rows),
         }
         score = None
         if len(val_columns):

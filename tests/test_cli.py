@@ -88,7 +88,8 @@ def test_train_writes_artifacts_and_prints_their_paths(tmp_path, capsys):
     assert sorted(printed) == ["behavior", "checkpoint", "config", "log", "meta"]
     for path in printed.values():
         assert os.path.exists(path)
-    log = json.load(open(printed["log"]))
+    with open(printed["log"]) as fh:
+        log = json.load(fh)
     assert len(log["entries"]) >= 1
 
 
@@ -150,7 +151,8 @@ def test_diagnose_prints_and_writes_the_table(trained, tmp_path, capsys):
     for i, beta in enumerate((0.1, 10.0)):
         ckpt = str(tmp_path / f"model_{i}.ckpt")
         shutil.copyfile(trained["checkpoint"], ckpt)
-        meta = json.load(open(trained["meta"]))
+        with open(trained["meta"]) as fh:
+            meta = json.load(fh)
         meta["beta"] = beta
         with open(ckpt + ".meta.json", "w") as fh:
             json.dump(meta, fh)

@@ -1,11 +1,14 @@
 """Reward maps, CSV ingestion, preprocessing, splitting, and example expansion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lpirec.data import (
     Dataset,
     EmptyDatasetError,
+    ExampleColumns,
     Interaction,
     PreprocessRules,
     SessionSequence,
@@ -313,6 +316,14 @@ def test_short_sequences_yield_no_examples():
 def test_next_context_appends_the_action():
     for ex in expand_examples(clicks("s", [3, 1, 4, 1, 5]), loss_window=2):
         assert ex.next_context == ex.context + (ex.action,)
+
+
+def test_columns_reject_a_next_context_that_is_not_context_then_action():
+    good = expand_examples(clicks("s", [3, 1, 4]), loss_window=2)
+    assert ExampleColumns.of(good).contexts[1] == (3, 1)
+    bad = replace(good[0], context=(0,), action=1, next_context=(5, 2))
+    with pytest.raises(ValueError, match="not its context .* followed by its action"):
+        ExampleColumns.of([good[1], bad])
 
 
 def test_example_counts_and_window_sizes_on_random_lengths():

@@ -62,6 +62,16 @@ def test_pad_weights_are_normalized_recency_powers():
     raw = np.array([0.8**2, 0.8, 1.0])
     np.testing.assert_allclose(batch.weights[0], raw / raw.sum(), rtol=0, atol=1e-15)
     assert batch.lengths.tolist() == [3]
+    # bit for bit: a cell weighs recency ** (its distance from the end), normalized
+    contexts = [tuple(range(n)) for n in range(61)]
+    view = RaggedContexts.of(contexts)
+    for recency in (0.3, 0.8, 1.0):
+        want = np.zeros((61, 60))
+        for n in range(1, 61):
+            want[n, :n] = recency ** np.arange(n - 1, -1, -1)
+            want[n] /= want[n].sum()
+        for padded in (pad_contexts(contexts, recency), pad_contexts(view, recency)):
+            np.testing.assert_array_equal(padded.weights, want)
 
 
 def test_pad_handles_ragged_and_empty_rows():

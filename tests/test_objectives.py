@@ -131,6 +131,17 @@ def test_out_of_order_positions_rejected():
         reward_to_go(exs, 0.5)
 
 
+def test_gaps_and_repeats_in_a_sequences_positions_are_rejected():
+    exs = [example((0,), 1, reward=1.0, pos=i) for i in range(4)]
+    np.testing.assert_allclose(attach_reward_to_go(exs, 0.5), [1.875, 1.75, 1.5, 1.0])
+    for broken in (exs[:2] + exs[3:], exs[:3] + exs[2:]):
+        for returns in (reward_to_go, attach_reward_to_go):
+            with pytest.raises(ValueError, match="consecutive"):
+                returns(broken, 0.5)
+    # a consecutive run that stops short of its sequence's end is accepted
+    np.testing.assert_allclose(attach_reward_to_go(exs[1:3], 0.5), [1.5, 1.0])
+
+
 def test_reward_to_go_computed_per_sequence():
     exs = [
         example((0,), 1, reward=1.0, seq="a", pos=0),

@@ -24,6 +24,23 @@ from lpirec.synth import (
 )
 
 
+TOP_DRAW = 1.0 - 2.0**-53  # the largest value Generator.random can return
+_default_rng = np.random.default_rng
+
+
+class TopDraws:
+    """A generator whose uniform draws all equal TOP_DRAW; choices are seeded."""
+
+    def __init__(self, seed=0):
+        self._rng = _default_rng(seed)
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+    def random(self, size=None):
+        return TOP_DRAW if size is None else np.full(size, TOP_DRAW)
+
+
 def two_state_world(behavior=None, rewards=None, start=None):
     instance = TabularInstance(
         context_probs=np.array([1.0, 0.0]) if start is None else np.asarray(start),
@@ -90,6 +107,28 @@ def test_bernoulli_noise_logs_zero_one_with_matching_mean():
 
 
 # -- worlds ------------------------------------------------------------------------
+
+
+def test_a_draw_at_the_rounded_row_total_picks_the_last_action(monkeypatch):
+    behavior = np.full((1, 10), 0.1)
+    assert np.cumsum(behavior)[-1] == TOP_DRAW
+    instance = TabularInstance(np.array([1.0]), behavior, np.eye(10)[[9]])
+    _, actions, _ = sample_bandit_logs(instance, 5, TopDraws())
+    assert actions.tolist() == [9] * 5
+
+    monkeypatch.setattr(np.random, "default_rng", TopDraws)
+    world = SyntheticWorld(instance)
+    assert simulate_policy_value(world, behavior, 3, n_sessions=4, seed=0)[0] == 1.0
+    sessions = generate_sessions(world, 2, 3, seed=0).sequences
+    assert [it.item for seq in sessions for it in seq.interactions[1:]] == [9] * 6
+
+
+def test_bernoulli_noise_rejects_rewards_above_one_before_any_draw():
+    world = two_state_world(rewards=[[2.0, 0.9], [0.8, 0.2]])
+    with pytest.raises(ValueError, match=r"bernoulli noise requires rewards in \[0, 1\]"):
+        generate_sessions(world, 3, 2, reward_noise="bernoulli")
+    with pytest.raises(ValueError, match=r"bernoulli noise requires rewards in \[0, 1\]"):
+        sample_bandit_logs(world.instance, 3, np.random.default_rng(0), "bernoulli")
 
 
 def test_world_state_is_last_item_modulo_state_count():

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lpirec import training
+from lpirec import objectives, training
 from lpirec.config import RunConfig, load_config
 from lpirec.data import (
     Dataset,
@@ -324,8 +324,11 @@ def test_columnar_batches_equal_batches_of_expanded_examples(discount):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert getattr(got, name).dtype == getattr(want, name).dtype
         # the list padding path is the independent reference
-        references = (pad_contexts(contexts, 0.7), pad_contexts(next_contexts, 0.7))
-        for padded, listed, reference in zip(got.pad(0.7), want.pad(0.7), references):
+        pairs = (
+            (got.pad(0.7), want.pad(0.7), pad_contexts(contexts, 0.7)),
+            (got.pad_next(0.7), want.pad_next(0.7), pad_contexts(next_contexts, 0.7)),
+        )
+        for padded, listed, reference in pairs:
             for name in ("indices", "weights", "lengths"):
                 np.testing.assert_array_equal(getattr(padded, name), getattr(reference, name))
                 np.testing.assert_array_equal(getattr(listed, name), getattr(reference, name))
@@ -487,7 +490,7 @@ def test_lpi_scores_the_behavior_model_on_each_steps_own_batch(monkeypatch):
     assert n_steps == result.log[-1]["steps"] > 3
     assert n_scored == n_steps
     for batch, scored in zip(steps, behavior.scored):
-        assert scored is batch.pad(0.3)[0]
+        assert scored is batch.pad(0.3)
 
 
 def test_objectives_without_a_behavior_term_never_score_the_behavior_model():
@@ -512,6 +515,55 @@ def test_training_memory_does_not_grow_with_examples_times_catalog():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n_train * dataset.catalog_size
+
+
+def test_a_ce_fit_holds_one_steps_padding_not_the_whole_runs():
+    rng = np.random.default_rng(2)
+    dataset = dataset_of([list(rng.integers(0, 40, size=60)) for _ in range(200)], catalog=40)
+    cfg = RunConfig(objective="ce", loss_window=50, batch_size=256, epochs=1, dim=8)
+    lengths = expand_columns(dataset.sequences_in("train"), 50, 0.0).contexts.lengths
+    # indices + weights of every context and next context, at their own lengths
+    all_padding = 16 * (2 * int(lengths.sum()) + len(lengths))
+    tracemalloc.start()
+    try:
+        train_model(dataset, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < all_padding / 2
+
+
+def test_a_step_pads_only_what_it_reads(monkeypatch):
+    padded, steps = [], []
+    pad, evaluate = objectives.pad_contexts, training.evaluate_prepared
+
+    def counted_pad(contexts, recency):
+        padded.append(contexts)
+        return pad(contexts, recency)
+
+    def recorded(model, batch, *args, **kwargs):
+        steps.append(batch)
+        return evaluate(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(objectives, "pad_contexts", counted_pad)
+    monkeypatch.setattr(training, "evaluate_prepared", recorded)
+    cfg = synth_cfg(epochs=3)
+    dataset = load_dataset(cfg)
+
+    # ce reads contexts only: one pad per step, of that step's own batch
+    train_model(dataset, replace(cfg, objective="ce", td_weight=0.0))
+    assert len(steps) > 3 and len(padded) == len(steps)
+    assert all(contexts is batch.contexts for contexts, batch in zip(padded, steps))
+
+    # lpi + TD with one recency everywhere: contexts and next contexts once each
+    padded.clear()
+    steps.clear()
+    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8, recency=cfg.recency)
+    train_model(dataset, cfg, behavior_model=SequenceModel.initialize(encoder, 4))
+    assert len(steps) > 3 and len(padded) == 2 * len(steps)
+    for i, batch in enumerate(steps):
+        assert padded[2 * i] is batch.contexts
+        assert padded[2 * i + 1] is batch.next_contexts
 
 
 # -- fit_imputation -------------------------------------------------------------
@@ -854,10 +906,12 @@ def test_zero_epoch_run_saves_the_initial_model(tmp_path):
             loaded.params[key], value.astype(np.float32).astype(np.float64)
         )
 
-    log = json.loads(open(paths["log"]).read())
+    with open(paths["log"]) as fh:
+        log = json.load(fh)
     assert log == {"schema_version": 1, "best_epoch": 0, "best_score": None, "entries": []}
 
-    meta = json.loads(open(paths["meta"]).read())
+    with open(paths["meta"]) as fh:
+        meta = json.load(fh)
     assert meta["objective"] == "ce"
     assert meta["catalog_size"] == 10
     assert meta["dim"] == 16
