@@ -420,6 +420,9 @@ def load_interactions_csv(
         if missing:
             raise ValueError(f"interaction CSV missing columns: {missing}")
         for row in reader:
+            short = [c for c in _CSV_COLUMNS[:4] if row[c] is None]
+            if short:
+                raise ValueError(f"line {reader.line_num}: row has no value for {short}")
             event = row["event_type"].strip()
             if event == EVENT_RATING:
                 raw = (row.get("rating") or "").strip()

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .synth import TabularInstance
+from .synth import TabularInstance, _sample_actions
 
 _TINY = 1e-300
 
@@ -320,12 +320,10 @@ def tabular_td_learning(
     visits = np.zeros((n, k))
     pair_states = rng.integers(0, n, size=n_updates)
     pair_actions = rng.integers(0, k, size=n_updates)
-    next_draws = rng.random(n_updates)
     transition_cdf = np.cumsum(instance.transitions, axis=-1)
+    next_states = _sample_actions(transition_cdf[pair_states, pair_actions], rng.random(n_updates))
     for t in range(n_updates):
-        x, a = int(pair_states[t]), int(pair_actions[t])
-        nx = int(np.searchsorted(transition_cdf[x, a], next_draws[t], side="right"))
-        nx = min(nx, n - 1)
+        x, a, nx = int(pair_states[t]), int(pair_actions[t]), int(next_states[t])
         best = int(np.argmax(q[nx]))
         y = instance.rewards[x, a] + instance.discount * target[nx, best]
         visits[x, a] += 1.0

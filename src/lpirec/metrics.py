@@ -86,33 +86,28 @@ class MetricsReport:
 
 def hr_at_k(rank: int, k: int) -> int:
     """1 iff the held-out item's rank is within the top k."""
-    if rank < 1 or k < 1:
-        raise ValueError("rank and k must be >= 1")
-    return 1 if rank <= k else 0
+    return int(hit_rate_samples([rank], k)[0])
 
 
 def ndcg_at_k(rank: int, k: int) -> float:
     """1/log2(rank + 1) if rank <= k else 0."""
-    if rank < 1 or k < 1:
-        raise ValueError("rank and k must be >= 1")
-    return 1.0 / math.log2(rank + 1.0) if rank <= k else 0.0
+    return float(ndcg_samples([rank], k)[0])
 
 
 def rank_from_scores(scores: np.ndarray, target: int) -> int:
     """1 + #(strictly higher scores) + #(equal scores at smaller indices)."""
-    scores = np.asarray(scores, dtype=float)
-    t = scores[target]
-    higher = int((scores > t).sum())
-    earlier_ties = int((scores[:target] == t).sum())
-    return 1 + higher + earlier_ties
+    return int(ranks_from_scores(np.asarray(scores)[None], [target])[0])
 
 
 def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized rank_from_scores over rows of a score matrix."""
+    """rank_from_scores of each row's target; a non-finite target score is rejected."""
     scores = np.asarray(scores, dtype=float)
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets))
     t = scores[rows, targets]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: target score {t[bad[0]]} is not finite")
     higher = (scores > t[:, None]).sum(axis=1)
     ties = (scores == t[:, None]).cumsum(axis=1)
     earlier_ties = ties[rows, targets] - 1
@@ -127,12 +122,13 @@ def rank_of(model, context, target: int) -> int:
 
 def hit_rate_samples(ranks: np.ndarray, k: int) -> np.ndarray:
     ranks = np.asarray(ranks)
+    if k < 1 or np.any(ranks < 1):
+        raise ValueError("rank and k must be >= 1")
     return (ranks <= k).astype(float)
 
 
 def ndcg_samples(ranks: np.ndarray, k: int) -> np.ndarray:
-    ranks = np.asarray(ranks, dtype=float)
-    return np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)
+    return hit_rate_samples(ranks, k) / np.log2(np.asarray(ranks, dtype=float) + 1.0)
 
 
 # -- greedy-reward metrics ---------------------------------------------------------
@@ -160,18 +156,14 @@ def iar_at_1(model, heldout, imputation) -> float:
     ``heldout`` is a sequence of (user, context) pairs; the imputation model
     predicts the reward of the greedy item for that user.
     """
-    from .synth import impute_reward
+    from .synth import imputed_rewards
 
     pairs = list(heldout)
     if not pairs:
         raise ValueError("held-out contexts must be non-empty")
     users = [u for u, _ in pairs]
-    contexts = [tuple(c) for _, c in pairs]
-    greedy = np.asarray(model.greedy_actions(contexts))
-    total = 0.0
-    for user, item in zip(users, greedy):
-        total += impute_reward(imputation, int(user), int(item))
-    return total / len(pairs)
+    greedy = model.greedy_actions([tuple(c) for _, c in pairs])
+    return float(imputed_rewards(imputation, users, greedy).mean())
 
 
 # -- divergences -------------------------------------------------------------------
@@ -275,16 +267,25 @@ def model_selection_score(
     return r_p * ndcg_purchase + r_c * ndcg_click
 
 
-def bucket_label(count: int, edges=DEFAULT_BUCKET_EDGES, max_count: int = 20) -> str:
-    """Label of the action-count bucket containing ``count``."""
-    if count < 1:
+def _buckets(counts, edges, max_count: int) -> tuple[list[str], np.ndarray]:
+    """Every bucket's label, and each count's bucket: its first edge >= it, else the last."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if np.any(counts < 1):
         raise ValueError("action counts must be >= 1")
+    labels = []
     lower = 1
     for edge in edges:
-        if count <= edge:
-            return f"{lower}-{edge}"
+        labels.append(f"{lower}-{edge}")
         lower = edge + 1
-    return f"{lower}-{max(max_count, lower)}"
+    labels.append(f"{lower}-{max(max_count, lower)}")
+    above = counts[:, None] > np.asarray(edges, dtype=np.int64)
+    return labels, np.cumprod(above, axis=1).sum(axis=1)
+
+
+def bucket_label(count: int, edges=DEFAULT_BUCKET_EDGES, max_count: int = 20) -> str:
+    """Label of the action-count bucket containing ``count``."""
+    labels, index = _buckets([count], edges, max_count)
+    return labels[index[0]]
 
 
 def breakdown_report(
@@ -300,18 +301,9 @@ def breakdown_report(
     reported with count 0 and no mean.
     """
     values = np.asarray(list(per_sequence_metrics), dtype=float)
-    counts = np.asarray(list(action_counts), dtype=np.int64)
+    counts = list(action_counts)
     if len(values) != len(counts):
         raise ValueError("metrics and action counts must align")
-    labels = [bucket_label(int(c), edges, max_count) for c in counts]
-    all_labels = []
-    lower = 1
-    for edge in edges:
-        all_labels.append(f"{lower}-{edge}")
-        lower = edge + 1
-    all_labels.append(f"{lower}-{max(max_count, lower)}")
-    breakdown = {}
-    for label in all_labels:
-        mask = np.array([lab == label for lab in labels], dtype=bool)
-        breakdown[label] = summarize(values[mask])
+    labels, index = _buckets(counts, edges, max_count)
+    breakdown = {label: summarize(values[index == i]) for i, label in enumerate(labels)}
     return MetricsReport(metrics={"ndcg_overall": summarize(values)}, breakdown=breakdown)

@@ -194,16 +194,17 @@ def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleBa
     return build_batch(examples, reward_to_go=rtg)
 
 
-def _behavior_probs(logging_policy, batch: ExampleBatch) -> np.ndarray:
-    """(n, catalog) action probabilities of the batch's contexts under mu_hat.
+def _behavior_probs(logging_policy, contexts: RaggedContexts, pad=None) -> np.ndarray:
+    """(n, catalog) action probabilities of ``contexts`` under mu_hat.
 
-    ``logging_policy`` is a SequenceModel, scored on the batch padded with its
-    own recency (cached on the batch), or a callable mapping a sequence of
-    contexts to that array.
+    ``logging_policy`` is a SequenceModel, scored on ``pad(recency)`` at its
+    own recency (default: the contexts padded here), or a callable mapping a
+    sequence of contexts to that array.
     """
     if isinstance(logging_policy, SequenceModel):
-        return logging_policy.probs(batch.pad(logging_policy.config.recency))
-    return np.asarray(logging_policy(batch.contexts), dtype=float)
+        recency = logging_policy.config.recency
+        return logging_policy.probs(contexts if pad is None else pad(recency))
+    return np.asarray(logging_policy(contexts), dtype=float)
 
 
 # -- per-step constants (the stop-gradient side) --------------------------------
@@ -217,29 +218,30 @@ class PreparedWeights:
     td_targets: np.ndarray | None = None
 
 
+def _advantages(q: np.ndarray, behavior: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Per row, A(x, a) = Q(x, a) - sum_a' mu_hat(a'|x) Q(x, a')."""
+    return q[np.arange(len(actions)), actions] - (behavior * q).sum(axis=-1)
+
+
 def advantage_from_q(model: SequenceModel, logging_policy, context, action: int) -> float:
     """A(x, a) = Q(x, a) - sum_a' mu_hat(a'|x) Q(x, a') from the value head.
 
     The Q head is read, not trained, through this quantity: callers treat the
     result as a constant during differentiation.
     """
-    context = tuple(context)
-    example = TrainingExample(
-        context=context, action=action, reward=0.0, next_context=context + (action,),
-        terminal=True, in_loss_window=True, event="", sequence_id="", position=0,
-    )
-    q = np.asarray(model.q_values([context])[0])
-    mu = _behavior_probs(logging_policy, build_batch([example]))[0]
-    return float(q[action] - mu @ q)
+    contexts = RaggedContexts.of([tuple(context)])
+    q = model.q_values(contexts)
+    mu = _behavior_probs(logging_policy, contexts)
+    return float(_advantages(q, mu, np.array([action]))[0])
 
 
-def lpi_weight(advantage: float, beta: float, cap: float = DEFAULT_WEIGHT_CAP) -> float:
-    """exp(advantage / beta) clamped to [0, cap]."""
+def lpi_weight(advantage, beta: float, cap: float = DEFAULT_WEIGHT_CAP):
+    """exp(advantage / beta) clamped to [0, cap]; elementwise over an array of advantages."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     with np.errstate(over="ignore"):
-        raw = np.exp(advantage / beta)
-    return float(np.clip(raw, 0.0, cap))
+        weights = np.clip(np.exp(np.asarray(advantage, dtype=float) / beta), 0.0, cap)
+    return weights if weights.ndim else float(weights)
 
 
 def prepare_step(
@@ -264,7 +266,7 @@ def prepare_step(
     if config.kind in BEHAVIOR_KINDS:
         if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
-        behavior = _behavior_probs(logging_policy, batch)
+        behavior = _behavior_probs(logging_policy, batch.contexts, batch.pad)
     else:
         behavior = None
 
@@ -294,12 +296,8 @@ def prepare_step(
         weights = q[rows, batch.actions]
     elif config.kind == "lpi":
         q = model.q_values_from(model.encode(padded))
-        baseline = (behavior * q).sum(axis=-1)
-        advantage = q[rows, batch.actions] - baseline
-        with np.errstate(over="ignore"):
-            weights = np.clip(
-                np.exp(advantage / config.beta), 0.0, config.max_policy_weight
-            )
+        advantages = _advantages(q, behavior, batch.actions)
+        weights = lpi_weight(advantages, config.beta, config.max_policy_weight)
     else:  # pragma: no cover - guarded by ObjectiveConfig
         raise AssertionError(config.kind)
 

@@ -189,7 +189,7 @@ def _read_exact(fh, n: int) -> bytes:
 
 
 def load_checkpoint(path) -> SequenceModel:
-    """Read a checkpoint back into a model (parameters promoted to float64)."""
+    """Read a checkpoint back into a model (parameters promoted to float64, all finite)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -231,4 +231,6 @@ def load_checkpoint(path) -> SequenceModel:
             raise CheckpointShapeError(
                 f"array {name!r} has shape {params[name].shape}, expected {shape}"
             )
+        if not np.all(np.isfinite(params[name])):
+            raise CheckpointError(f"array {name!r} holds non-finite values")
     return SequenceModel(config, params)

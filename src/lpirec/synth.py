@@ -252,22 +252,24 @@ def generate_sessions(
     instance = world.instance
     _check_reward_noise(reward_noise, instance.rewards)
     rng = np.random.default_rng(world.seed if seed is None else seed)
-    start_states = rng.choice(world.n_states, size=n_sessions, p=instance.context_probs)
+    # items[:, 0] is each session's start state; every step draws its action, then its reward
+    items = np.empty((n_sessions, horizon + 1), dtype=np.int64)
+    items[:, 0] = rng.choice(world.n_states, size=n_sessions, p=instance.context_probs)
+    draws = rng.random((n_sessions, horizon, 2 if reward_noise == "bernoulli" else 1))
     cdf = np.cumsum(instance.behavior, axis=-1)
-    sessions = []
+    for t in range(horizon):
+        items[:, t + 1] = _sample_actions(cdf[items[:, t] % world.n_states], draws[:, t, 0])
+    rewards = np.zeros(items.shape)
+    rewards[:, 1:] = instance.rewards[items[:, :-1] % world.n_states, items[:, 1:]]
+    if reward_noise == "bernoulli":
+        rewards[:, 1:] = draws[:, :, 1] < rewards[:, 1:]
     width = len(str(max(n_sessions - 1, 1)))
-    for i in range(n_sessions):
-        state = int(start_states[i])
-        inters = [Interaction(item=state, event=EVENT_SYNTH, reward=0.0, timestamp=0)]
-        for t in range(horizon):
-            action = int(np.searchsorted(cdf[state], rng.random(), side="right"))
-            action = min(action, world.catalog_size - 1)
-            mean = instance.rewards[state, action]
-            reward = float(rng.random() < mean) if reward_noise == "bernoulli" else float(mean)
-            inters.append(
-                Interaction(item=action, event=EVENT_SYNTH, reward=reward, timestamp=t + 1)
-            )
-            state = action % world.n_states
+    sessions = []
+    for i, (row_items, row_rewards) in enumerate(zip(items.tolist(), rewards.tolist())):
+        inters = [
+            Interaction(item=item, event=EVENT_SYNTH, reward=reward, timestamp=t)
+            for t, (item, reward) in enumerate(zip(row_items, row_rewards))
+        ]
         sessions.append(SessionSequence(id=f"w{i:0{width}d}", interactions=inters))
     return Dataset(sequences=sessions, catalog_size=world.catalog_size)
 
@@ -474,18 +476,25 @@ def fit_weighted_mf(
     )
 
 
+def imputed_rewards(model: ImputationModel, users, items) -> np.ndarray:
+    """Predicted rewards for aligned (user, item) cells, clamped to [0, 1]."""
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    n_users, n_items = len(model.user_factors), len(model.item_factors)
+    bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
+    if bad.size:
+        cell = f"(user={users[bad[0]]}, item={items[bad[0]]})"
+        raise ValueError(f"{cell} outside the fitted ({n_users}, {n_items}) matrix")
+    # one matmul per cell: each cell equals the scalar u @ v, whatever else is asked
+    dots = model.user_factors[users][:, None, :] @ model.item_factors[items][:, :, None]
+    return np.clip(dots[:, 0, 0] + model.global_bias, 0.0, 1.0)
+
+
 def impute_reward(model: ImputationModel, user: int, item: int) -> float:
     """Predicted reward for a (user, item) cell, clamped to [0, 1]."""
-    n_users, n_items = len(model.user_factors), len(model.item_factors)
-    if not (0 <= user < n_users and 0 <= item < n_items):
-        raise ValueError(
-            f"(user={user}, item={item}) outside the fitted ({n_users}, {n_items}) matrix"
-        )
-    raw = float(model.user_factors[user] @ model.item_factors[item]) + model.global_bias
-    return float(min(1.0, max(0.0, raw)))
+    return float(imputed_rewards(model, [user], [item])[0])
 
 
 def imputed_matrix(model: ImputationModel) -> np.ndarray:
-    """Full clamped prediction matrix of an imputation model."""
-    raw = model.user_factors @ model.item_factors.T + model.global_bias
-    return np.clip(raw, 0.0, 1.0)
+    """Full clamped prediction matrix of an imputation model, cell by cell."""
+    shape = (len(model.user_factors), len(model.item_factors))
+    return imputed_rewards(model, *np.indices(shape).reshape(2, -1)).reshape(shape)

@@ -55,7 +55,7 @@ from .objectives import (
     prepare_step,
 )
 from .policy import SequenceModel, load_checkpoint, log_softmax, save_checkpoint, softmax
-from .synth import ImputationModel, fit_weighted_mf, impute_reward
+from .synth import ImputationModel, fit_weighted_mf, imputed_rewards
 
 LOG_SCHEMA_VERSION = 1
 _BEHAVIOR_SEED_OFFSET = 101
@@ -361,8 +361,7 @@ def evaluate_examples(
         if user_index is None:
             raise ValueError("imputation metrics need the sequence-to-user index")
         users = [user_index[sid] for sid in examples.sequence_ids]
-        imputed = [impute_reward(imputation, u, int(item)) for u, item in zip(users, greedy)]
-        metrics["iar_at_1"] = summarize(imputed)
+        metrics["iar_at_1"] = summarize(imputed_rewards(imputation, users, greedy))
 
     breakdown = None
     if sequence_lengths is not None:

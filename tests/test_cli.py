@@ -118,6 +118,36 @@ def test_eval_with_a_missing_checkpoint_fails_validation(trained, tmp_path, caps
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_eval_with_a_non_finite_checkpoint_fails_validation(trained, tmp_path, capsys):
+    from lpirec.policy import load_checkpoint, save_checkpoint
+
+    model = load_checkpoint(trained["checkpoint"])
+    model.params["W"][0, 0] = float("nan")
+    path = str(tmp_path / "nan.ckpt")
+    save_checkpoint(model, path)
+    code = main(["eval", "--config", trained["config"], "--checkpoint", path, "--split", "test"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'W'" in err and "non-finite" in err
+
+
+def test_train_on_a_csv_with_a_short_row_fails_validation(tmp_path, capsys):
+    data_path = tmp_path / "log.csv"
+    data_path.write_text(
+        "session_id,timestamp,item_id,event_type,rating\n"
+        "s1,1,a,click,\n"
+        "s1,2\n",
+        encoding="utf-8",
+    )
+    config_path = str(tmp_path / "config.txt")
+    write_config(
+        config_path, data_source="csv", data_path=str(data_path), output_dir=str(tmp_path / "out")
+    )
+    assert main(["train", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err
+
+
 def test_bad_config_fails_validation(tmp_path, capsys):
     config_path = tmp_path / "config.txt"
     config_path.write_text("not_a_real_key=3\n")

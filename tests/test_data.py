@@ -102,6 +102,16 @@ def test_csv_missing_column_rejected(tmp_path):
         load_interactions_csv(path)
 
 
+def test_csv_short_row_rejected_naming_its_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "session_id,timestamp,item_id,event_type,rating\ns1,1,a,click,\ns1,2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"line 3: .*'item_id', 'event_type'"):
+        load_interactions_csv(path)
+
+
 def test_csv_rating_row_without_value_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

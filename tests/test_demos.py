@@ -23,6 +23,7 @@ def test_demo_runs(demo, tmp_path):
     if demo.name in OUTPUT_FLAG:
         args += ["--output", str(tmp_path / "runs")]
     env = dict(os.environ)
+    env["PYTHONWARNINGS"] = "error"  # a warning fails a demo as it fails a test
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

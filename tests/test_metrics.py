@@ -12,6 +12,7 @@ from lpirec.metrics import (
     ar_at_1,
     breakdown_report,
     bucket_label,
+    hit_rate_samples,
     hr_at_k,
     iar_at_1,
     js_divergence,
@@ -19,11 +20,13 @@ from lpirec.metrics import (
     mean_divergence,
     model_selection_score,
     ndcg_at_k,
+    ndcg_samples,
     rank_from_scores,
     rank_of,
     ranks_from_scores,
     summarize,
 )
+from lpirec.synth import ImputationModel
 
 
 class TableModel:
@@ -120,11 +123,36 @@ def test_rank_matches_full_sort_oracle():
 
 def test_vectorized_ranks_match_scalar_ranks():
     rng = np.random.default_rng(1)
-    scores = np.round(rng.standard_normal((40, 9)), 1)
-    targets = rng.integers(0, 9, size=40)
-    vec = ranks_from_scores(scores, targets)
-    for i in range(40):
-        assert vec[i] == rank_from_scores(scores[i], int(targets[i]))
+    for catalog in (1, 9, 60, 400):
+        scores = np.round(rng.standard_normal((40, catalog)), 1)  # rounding forces ties
+        targets = rng.integers(0, catalog, size=40)
+        vec = ranks_from_scores(scores, targets)
+        for k in (1, 5, 20, 400):
+            hits, gains = hit_rate_samples(vec, k), ndcg_samples(vec, k)
+            for i in range(40):
+                rank = rank_from_scores(scores[i], int(targets[i]))
+                assert vec[i] == rank
+                assert hr_at_k(rank, k) == hits[i]
+                assert ndcg_at_k(rank, k) == gains[i]  # bit for bit
+
+
+def test_array_rank_functions_reject_ranks_and_k_below_one():
+    for fn in (hit_rate_samples, ndcg_samples):
+        with pytest.raises(ValueError, match=">= 1"):
+            fn(np.array([1, 0, 3]), 5)
+        with pytest.raises(ValueError, match=">= 1"):
+            fn(np.array([1, 2]), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_target_score_is_rejected_naming_its_row(bad):
+    scores = np.zeros((3, 4))
+    scores[2, 1] = bad
+    with pytest.raises(ValueError, match="row 2: target score"):
+        ranks_from_scores(scores, [0, 1, 1])
+    with pytest.raises(ValueError, match="not finite"):
+        rank_from_scores(scores[2], 1)
+    assert len(ranks_from_scores(scores, [0, 1, 0])) == 3  # only target scores are checked
 
 
 def test_rank_of_reads_model_scores():
@@ -191,39 +219,35 @@ def test_logging_policy_claims_more_reward_than_uniform_on_its_own_logs():
 # -- imputed greedy reward -----------------------------------------------------------
 
 
-class ConstantImputer:
-    def __init__(self, value):
-        self.value = value
-
-    def predict(self, user, item):
-        return self.value
-
-
-def test_constant_imputation_returns_the_constant(monkeypatch):
-    import lpirec.metrics as metrics_mod
-    import lpirec.synth as synth_mod
-
-    monkeypatch.setattr(
-        synth_mod, "impute_reward", lambda model, user, item: model.predict(user, item)
+def imputer(user_factors, item_factors, bias=0.0):
+    return ImputationModel(
+        user_factors=np.asarray(user_factors, dtype=float),
+        item_factors=np.asarray(item_factors, dtype=float),
+        global_bias=bias,
+        l2=0.0,
+        missing_target=0.0,
+        missing_weight=1.0,
     )
+
+
+def constant_imputer(value, n_users=2, n_items=2):
+    """Zero factors: every cell predicts the bias."""
+    return imputer(np.zeros((n_users, 1)), np.zeros((n_items, 1)), bias=value)
+
+
+def test_constant_imputation_returns_the_constant():
     model = TableModel({(0,): [1.0, 0.0]})
-    value = iar_at_1(model, [(0, (0,)), (1, (0,))], ConstantImputer(0.7))
+    value = iar_at_1(model, [(0, (0,)), (1, (0,))], constant_imputer(0.7))
     assert value == pytest.approx(0.7, abs=1e-15)
 
 
-def test_indicator_imputation_reduces_to_greedy_match_rate(monkeypatch):
-    import lpirec.synth as synth_mod
-
+def test_indicator_imputation_reduces_to_greedy_match_rate():
     observed = {0: 1, 1: 0}  # user -> item they actually took
-
-    monkeypatch.setattr(
-        synth_mod,
-        "impute_reward",
-        lambda model, user, item: 1.0 if observed[user] == item else 0.0,
-    )
+    # one-hot user factors against identity item factors: 1 on the observed cell
+    indicator = imputer(np.eye(2)[[observed[0], observed[1]]], np.eye(2))
     model = TableModel({(0,): [0.0, 9.0], (1,): [0.0, 9.0]})
     # greedy picks item 1 for both users; only user 0 observed item 1
-    value = iar_at_1(model, [(0, (0,)), (1, (1,))], imputation=None)
+    value = iar_at_1(model, [(0, (0,)), (1, (1,))], indicator)
     assert value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -244,7 +268,7 @@ def test_imputed_reward_matches_enumeration_oracle():
 
 def test_empty_imputation_heldout_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        iar_at_1(TableModel({}), [], ConstantImputer(0.0))
+        iar_at_1(TableModel({}), [], constant_imputer(0.0))
 
 
 # -- divergences ---------------------------------------------------------------------
@@ -457,6 +481,16 @@ def test_bucket_weighted_mean_reassembles_global_mean():
         if summary.count:
             total += summary.value * summary.count
     assert total / 200 == pytest.approx(float(values.mean()), abs=1e-12)
+
+
+@pytest.mark.parametrize("edges", [(), (3,), (5, 10, 15), (20,)])
+def test_breakdown_buckets_agree_with_bucket_label(edges):
+    counts = list(range(1, 31))
+    report = breakdown_report([float(c) for c in counts], counts, edges=edges)
+    labels = [bucket_label(c, edges) for c in counts]
+    assert list(report.breakdown) == list(dict.fromkeys(labels))
+    for label, summary in report.breakdown.items():
+        assert summary.count == labels.count(label)
 
 
 def test_breakdown_requires_aligned_inputs():

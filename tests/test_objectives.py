@@ -336,7 +336,23 @@ def test_lpi_weights_match_per_example_formula():
     out = lpi_loss(model, mu, build_batch(exs), beta=0.4, compute_grads=False)
     for i, ex in enumerate(exs):
         adv = advantage_from_q(model, mu, ex.context, ex.action)
-        assert out.weights[i] == pytest.approx(lpi_weight(adv, 0.4), rel=1e-12)
+        assert out.weights[i] == lpi_weight(adv, 0.4)
+
+
+def test_lpi_helpers_are_the_one_row_case_of_prepare_step():
+    config = ObjectiveConfig(kind="lpi", beta=0.4)
+    for catalog, dim in ((6, 4), (40, 8)):
+        model = make_model(catalog=catalog, dim=dim, seed=12)
+        behavior = SequenceModel.initialize(
+            EncoderConfig(catalog_size=catalog, dim=dim, recency=0.5), 3
+        )
+        rng = np.random.default_rng(1)
+        for _ in range(64):
+            context = rng.integers(0, catalog, size=rng.integers(1, 9))
+            ex = example(context, int(rng.integers(0, catalog)))
+            weight = prepare_step(model, build_batch([ex]), config, behavior).policy_weights[0]
+            adv = advantage_from_q(model, behavior, ex.context, ex.action)
+            assert lpi_weight(adv, 0.4) == weight
 
 
 def test_lpi_requires_behavior_estimate():

@@ -256,3 +256,13 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, bad):
+    model = make_model()
+    model.params["W"][1, 2] = bad
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="'W'.*non-finite"):
+        load_checkpoint(path)

@@ -1,5 +1,7 @@
 """Synthetic worlds, session generation, and weighted-MF reward imputation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lpirec.synth import (
     generate_sessions,
     impute_reward,
     imputed_matrix,
+    imputed_rewards,
     make_random_world,
     project_policy_to_tabular,
     random_instance,
@@ -236,6 +239,37 @@ def test_same_seed_reproduces_the_dataset():
     )
 
 
+def session_digest(ds):
+    h = hashlib.sha256()
+    for seq in ds.sequences:
+        h.update(seq.id.encode())
+        for it in seq.interactions:
+            h.update(f"{it.item!r},{it.event},{it.reward!r},{it.timestamp!r};".encode())
+    return h.hexdigest()[:16]
+
+
+# digests taken from a generator that drew one session, then one step, at a time
+@pytest.mark.parametrize(
+    "noise, seed, digest",
+    [
+        ("none", 0, "13111583397ff051"),
+        ("none", 1, "01f05f2a9ba91745"),
+        ("none", 7, "e19e9a9ebfaf4b90"),
+        ("none", 42, "61aed3874e761e71"),
+        ("none", 613, "093895774bf3d6ec"),
+        ("bernoulli", 0, "73d1796ec1315d81"),
+        ("bernoulli", 1, "3ee6917d01cbafda"),
+        ("bernoulli", 7, "6dc72692bb2a49b0"),
+        ("bernoulli", 42, "9b0263b7ebc73659"),
+        ("bernoulli", 613, "b677d23994665d41"),
+    ],
+)
+def test_sessions_stepped_together_equal_sessions_stepped_one_by_one(noise, seed, digest):
+    world = make_random_world(seed=12, n_states=5, catalog_size=9)
+    ds = generate_sessions(world, n_sessions=40, horizon=6, seed=seed, reward_noise=noise)
+    assert session_digest(ds) == digest
+
+
 def test_session_generation_validates_sizes():
     world = make_random_world(seed=11, n_states=2, catalog_size=3)
     with pytest.raises(ValueError, match="n_sessions"):
@@ -442,6 +476,32 @@ def test_imputation_range_errors_name_the_cell():
         impute_reward(model, 2, 0)
     with pytest.raises(ValueError, match="item=3"):
         impute_reward(model, 0, 3)
+
+
+def test_impute_reward_is_the_one_row_case_of_imputed_rewards():
+    rng = np.random.default_rng(23)
+    for f in (1, 4, 8, 16):
+        model = ImputationModel(
+            user_factors=rng.standard_normal((6, f)) * 0.5 / f**0.25,
+            item_factors=rng.standard_normal((7, f)) * 0.5 / f**0.25,
+            global_bias=0.3,
+            l2=0.05,
+            missing_target=0.25,
+            missing_weight=0.05,
+        )
+        users, items = np.divmod(np.arange(42), 7)
+        together = imputed_rewards(model, users, items)
+        for j, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
+            alone = impute_reward(model, u, i)
+            assert alone == imputed_rewards(model, [u], [i])[0] == together[j]
+            raw = float(model.user_factors[u] @ model.item_factors[i]) + 0.3
+            assert alone == min(1.0, max(0.0, raw))
+
+
+def test_imputed_rewards_name_the_first_cell_out_of_range():
+    model = fit_weighted_mf([(0, 0, 1.0)], f=1, n_users=2, n_items=3)
+    with pytest.raises(ValueError, match=r"user=-1, item=2"):
+        imputed_rewards(model, [0, 1, -1, 5], [0, 1, 2, 0])
 
 
 def test_perfect_rating_maps_to_unit_reward():
