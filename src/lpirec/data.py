@@ -400,6 +400,13 @@ def expand_columns(
     )
 
 
+def _csv_int(raw: str, column: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"line {line}: column {column!r} holds {raw!r}, not an integer") from None
+
+
 def load_interactions_csv(
     path,
     reward_click: float = DEFAULT_REWARD_CLICK,
@@ -423,12 +430,13 @@ def load_interactions_csv(
             short = [c for c in _CSV_COLUMNS[:4] if row[c] is None]
             if short:
                 raise ValueError(f"line {reader.line_num}: row has no value for {short}")
+            line = reader.line_num
             event = row["event_type"].strip()
             if event == EVENT_RATING:
                 raw = (row.get("rating") or "").strip()
                 if not raw:
-                    raise ValueError(f"rating row without rating value: {row}")
-                reward = map_rating_to_reward(int(raw))
+                    raise ValueError(f"line {line}: rating row without rating value")
+                reward = map_rating_to_reward(_csv_int(raw, "rating", line))
             else:
                 reward = map_event_to_reward(event, reward_click, reward_purchase)
             sid = row["session_id"].strip()
@@ -436,7 +444,7 @@ def load_interactions_csv(
                 item=row["item_id"].strip(),
                 event=event,
                 reward=reward,
-                timestamp=int(row["timestamp"]),
+                timestamp=_csv_int(row["timestamp"], "timestamp", line),
             )
             if sid not in groups:
                 groups[sid] = []

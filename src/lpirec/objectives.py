@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ExampleColumns, RaggedContexts, TrainingExample, discounted_returns
-from .encoder import PaddedBatch, pad_contexts
+from .encoder import EncodeCache, PaddedBatch, pad_contexts
 from .estimators import SupportViolationError
 from .policy import SequenceModel, log_softmax, softmax
 
@@ -212,10 +212,15 @@ def _behavior_probs(logging_policy, contexts: RaggedContexts, pad=None) -> np.nd
 
 @dataclass
 class PreparedWeights:
-    """Constants for one gradient step: policy weights and TD targets."""
+    """Constants for one gradient step: policy weights and TD targets.
+
+    ``forward`` is the model's encode of the contexts, when prepare_step made
+    one; it is valid only for the parameters prepare_step saw.
+    """
 
     policy_weights: np.ndarray
     td_targets: np.ndarray | None = None
+    forward: EncodeCache | None = None
 
 
 def _advantages(q: np.ndarray, behavior: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -270,6 +275,9 @@ def prepare_step(
     else:
         behavior = None
 
+    encodes = config.kind in ("lpi", "sac", "ips_ce", "ips_pg")
+    forward = model.encode(padded) if encodes else None
+
     if config.kind in ("ce", "sqn"):
         weights = np.ones(n)
     elif config.kind == "reward_ce":
@@ -279,7 +287,7 @@ def prepare_step(
     elif config.kind == "pg":
         weights = batch.reward_to_go.copy()
     elif config.kind in RATIO_KINDS:
-        probs = softmax(model.policy_logits_from(model.encode(padded)))
+        probs = softmax(model.policy_logits_from(forward))
         mu = behavior[rows, batch.actions]
         bad = np.flatnonzero(mu <= 0)
         if bad.size:
@@ -292,10 +300,9 @@ def prepare_step(
         base = batch.rewards if config.kind == "ips_ce" else batch.reward_to_go
         weights = ratios * base
     elif config.kind == "sac":
-        q = model.q_values_from(model.encode(padded))
-        weights = q[rows, batch.actions]
+        weights = model.q_values_at(forward, batch.actions)
     elif config.kind == "lpi":
-        q = model.q_values_from(model.encode(padded))
+        q = model.q_values_from(forward)
         advantages = _advantages(q, behavior, batch.actions)
         weights = lpi_weight(advantages, config.beta, config.max_policy_weight)
     else:  # pragma: no cover - guarded by ObjectiveConfig
@@ -308,14 +315,13 @@ def prepare_step(
         next_padded = batch.pad_next(model.config.recency)
         q_next_online = model.q_values_from(model.encode(next_padded))
         best_next = q_next_online.argmax(axis=-1)
-        q_next_target = target_model.q_values_from(
-            target_model.encode(batch.pad_next(target_model.config.recency))
+        bootstrap = target_model.q_values_at(
+            target_model.encode(batch.pad_next(target_model.config.recency)), best_next
         )
-        bootstrap = q_next_target[rows, best_next]
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
         )
-    return PreparedWeights(policy_weights=weights, td_targets=td_targets)
+    return PreparedWeights(policy_weights=weights, td_targets=td_targets, forward=forward)
 
 
 # -- the differentiable side -----------------------------------------------------
@@ -338,25 +344,31 @@ def evaluate_prepared(
     config: ObjectiveConfig,
     prepared: PreparedWeights,
     compute_grads: bool = True,
+    forward: EncodeCache | None = None,
 ) -> LossBatch:
     """Evaluate L = -(1/B) sum w_i log pi(a_i|x_i) + lambda * L_TD.
 
     ``prepared`` holds the step constants; they are not differentiated, so
     this function is an ordinary differentiable loss of the model parameters
     (finite differences against its gradients agree).
+
+    ``forward`` is the model's encode of the batch's contexts, reused instead
+    of encoding again; pass ``prepared.forward`` only while the parameters
+    are the ones prepare_step saw. Without it the contexts are encoded
+    fresh, so the loss follows the current parameters.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("batch must be non-empty")
     rows = np.arange(n)
-    cache = model.encode(batch.pad(model.config.recency))
+    cache = forward if forward is not None else model.encode(batch.pad(model.config.recency))
     logits = model.policy_logits_from(cache)
     log_probs = log_softmax(logits)
     weights = prepared.policy_weights
     policy_term = float(-(weights * log_probs[rows, batch.actions]).mean())
 
     dlogits = None
-    dq = None
+    dq_at = None
     if compute_grads:
         probs = np.exp(log_probs)
         dlogits = probs * weights[:, None]
@@ -367,15 +379,13 @@ def evaluate_prepared(
     if config.td_weight > 0:
         if prepared.td_targets is None:
             raise ValueError("prepared step lacks TD targets")
-        q = model.q_values_from(cache)
-        residual = q[rows, batch.actions] - prepared.td_targets
+        residual = model.q_values_at(cache, batch.actions) - prepared.td_targets
         td_term = float((residual**2).mean())
         if compute_grads:
-            dq = np.zeros_like(q)
-            dq[rows, batch.actions] = config.td_weight * 2.0 * residual / n
+            dq_at = (batch.actions, config.td_weight * 2.0 * residual / n)
 
     loss = policy_term + config.td_weight * td_term
-    grads = model.backward(cache, dlogits, dq) if compute_grads else {}
+    grads = model.backward(cache, dlogits, dq_at) if compute_grads else {}
     return LossBatch(
         loss=loss,
         policy_term=policy_term,
@@ -401,7 +411,9 @@ def composite_loss(
     """
     batch = _as_batch(batch, config.discount, need_rtg=config.kind in ("pg", "ips_pg"))
     prepared = prepare_step(model, batch, config, logging_policy, target_model)
-    return evaluate_prepared(model, batch, config, prepared, compute_grads)
+    return evaluate_prepared(
+        model, batch, config, prepared, compute_grads, forward=prepared.forward
+    )
 
 
 # -- named losses ----------------------------------------------------------------
@@ -467,4 +479,6 @@ def td_q_loss(
     batch = _as_batch(batch)
     prepared = prepare_step(model, batch, config, target_model=target_model)
     prepared.policy_weights = np.zeros(len(batch))
-    return evaluate_prepared(model, batch, config, prepared, compute_grads)
+    return evaluate_prepared(
+        model, batch, config, prepared, compute_grads, forward=prepared.forward
+    )

@@ -92,6 +92,11 @@ class SequenceModel:
     def q_values_from(self, cache: EncodeCache) -> np.ndarray:
         return cache.state @ self.params["q_W"].T + self.params["q_b"]
 
+    def q_values_at(self, cache: EncodeCache, actions: np.ndarray) -> np.ndarray:
+        """Q(x_i, a_i) per row: one column of ``q_values_from`` each, gathered."""
+        q_W, q_b = self.params["q_W"], self.params["q_b"]
+        return np.einsum("bd,bd->b", cache.state, q_W[actions]) + q_b[actions]
+
     def policy_logits(self, contexts) -> np.ndarray:
         return self.policy_logits_from(self.encode(contexts))
 
@@ -114,10 +119,12 @@ class SequenceModel:
         self,
         cache: EncodeCache,
         dlogits: np.ndarray | None = None,
-        dq: np.ndarray | None = None,
+        dq_at: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given its derivative w.r.t. the heads.
 
+        ``dq_at`` is (actions, values): dLoss/dQ(x_i, a_i) at the one Q column
+        per row the loss read (``q_values_at``), scattered with ``np.bincount``.
         Both heads share the encoder state, so their upstream gradients are
         summed before the encoder backward pass.
         """
@@ -129,10 +136,17 @@ class SequenceModel:
             key = "item_embeddings" if self.config.tie_weights else "head_W"
             grads[key] = dlogits.T @ cache.state
             dstate += dlogits @ head
-        if dq is not None:
-            grads["q_b"] = dq.sum(axis=0)
-            grads["q_W"] = dq.T @ cache.state
-            dstate += dq @ self.params["q_W"]
+        if dq_at is not None:
+            actions, values = dq_at
+            q_W = self.params["q_W"]
+            catalog, d = q_W.shape
+            grads["q_b"] = np.bincount(actions, weights=values, minlength=catalog)
+            flat = (actions[:, None] * d + np.arange(d)).ravel()
+            terms = (values[:, None] * cache.state).ravel()
+            grads["q_W"] = np.bincount(
+                flat, weights=terms, minlength=catalog * d
+            ).reshape(catalog, d)
+            dstate += values[:, None] * q_W[actions]
         encode_backward(self.params, cache, dstate, grads)
         return grads
 

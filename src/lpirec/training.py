@@ -198,7 +198,9 @@ def train_model(
             batch = build_batch(columns, rows=batch_rows[index])
             try:
                 prepared = prepare_step(model, batch, objective, behavior_model, target)
-                result = evaluate_prepared(model, batch, objective, prepared)
+                result = evaluate_prepared(
+                    model, batch, objective, prepared, forward=prepared.forward
+                )
                 if not np.isfinite(result.loss):
                     raise TrainingDivergedError("non-finite loss")
                 adam.step(model.params, result.gradients)

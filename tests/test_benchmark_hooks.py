@@ -71,6 +71,27 @@ def test_train_model_calls_evaluate_prepared_once_per_step_on_every_window_examp
     assert sum(batch_sizes) == cfg.epochs * per_epoch
 
 
+def test_every_training_encode_runs_inside_a_traced_step_span():
+    # objectives.encodes_per_step counts encodes under these spans only
+    spans = load_spans()
+    cfg = RunConfig(data_source="synthetic", synthetic_sessions=300, objective="lpi", beta=0.5,
+                    td_weight=1.0, discount=0.5, epochs=2, behavior_epochs=1, dim=8, seed=0)
+    dataset = training.load_dataset(cfg)
+    behavior = training.fit_behavior_model(dataset, cfg)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        training.train_model(dataset, cfg, behavior_model=behavior)
+    finally:
+        tracer.uninstall()
+    encodes = sum(span[0] == "encoder.encode" for span in tracer.spans)
+    steps = sum(span[0] == "objectives.evaluate_prepared" for span in tracer.spans)
+    owners = {"objectives.prepare_step", "objectives.evaluate_prepared",
+              "training.evaluate_examples"}
+    assert steps > 2 and encodes >= 4 * steps
+    assert tracer.count_under("encoder.encode", owners, phase=0) == encodes
+
+
 def test_cyclebench_checks_pass_on_a_small_world():
     # the checks build batches from TrainingExample lists and read batch.contexts
     checks = load_cyclebench("checks")

@@ -148,6 +148,23 @@ def test_train_on_a_csv_with_a_short_row_fails_validation(tmp_path, capsys):
     assert err.startswith("error:") and "line 3" in err
 
 
+def test_train_on_a_csv_with_a_non_integer_timestamp_fails_validation(tmp_path, capsys):
+    data_path = tmp_path / "log.csv"
+    data_path.write_text(
+        "session_id,timestamp,item_id,event_type,rating\n"
+        "s1,1,a,click,\n"
+        "s1,x2,b,click,\n",
+        encoding="utf-8",
+    )
+    config_path = str(tmp_path / "config.txt")
+    write_config(
+        config_path, data_source="csv", data_path=str(data_path), output_dir=str(tmp_path / "out")
+    )
+    assert main(["train", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3: column 'timestamp' holds 'x2'" in err
+
+
 def test_bad_config_fails_validation(tmp_path, capsys):
     config_path = tmp_path / "config.txt"
     config_path.write_text("not_a_real_key=3\n")

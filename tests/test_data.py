@@ -117,8 +117,26 @@ def test_csv_rating_row_without_value_rejected(tmp_path):
     path.write_text(
         "session_id,timestamp,item_id,event_type,rating\nu1,0,m1,rating,\n"
     )
-    with pytest.raises(ValueError, match="rating"):
+    with pytest.raises(ValueError, match="^line 2: rating row without rating value$"):
         load_interactions_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s1,x2,b,click,", "line 3: column 'timestamp' holds 'x2', not an integer"),
+        ("s1,2,b,rating,4.5", "line 3: column 'rating' holds '4.5', not an integer"),
+    ],
+)
+def test_csv_bad_numbers_rejected_naming_line_and_column(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"session_id,timestamp,item_id,event_type,rating\ns1,1,a,rating,4\n{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as raised:
+        load_interactions_csv(path)
+    assert str(raised.value) == message
 
 
 def test_csv_custom_event_rewards_flow_through(tmp_path):

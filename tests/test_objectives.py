@@ -712,6 +712,41 @@ def test_policy_gradient_is_independent_of_beta_given_weights():
         )
 
 
+def test_a_shared_forward_gives_the_fresh_loss_and_gradients_bit_for_bit():
+    batch = small_batch(catalog=7, n=9, seed=11)
+    for kind in OBJECTIVE_KINDS:
+        model = make_model(catalog=7, dim=5, seed=36)
+        td_weight = 0.6 if kind in TD_KINDS else 0.0
+        cfg = ObjectiveConfig(kind=kind, beta=0.5, td_weight=td_weight, discount=0.8)
+        mu = make_model(catalog=7, dim=5, seed=37) if kind in BEHAVIOR_KINDS else None
+        prepared = prepare_step(model, batch, cfg, mu, make_model(catalog=7, dim=5, seed=38))
+        assert (prepared.forward is not None) == (kind in ("lpi", "sac", "ips_ce", "ips_pg"))
+        shared = evaluate_prepared(model, batch, cfg, prepared, forward=prepared.forward)
+        fresh = evaluate_prepared(model, batch, cfg, prepared)
+        assert (shared.loss, shared.policy_term, shared.td_term) == (
+            fresh.loss, fresh.policy_term, fresh.td_term
+        ), kind
+        assert shared.gradients.keys() == fresh.gradients.keys()
+        for name, grad in fresh.gradients.items():
+            assert np.array_equal(shared.gradients[name], grad), (kind, name)
+
+
+def test_evaluate_prepared_reads_the_forward_only_when_given_it():
+    # finite-difference checks perturb parameters and reuse one prepared step
+    model = make_model(catalog=5, dim=3, seed=39)
+    batch = small_batch(catalog=5, n=4, seed=12)
+    cfg = ObjectiveConfig(kind="lpi", beta=0.5, td_weight=0.4, discount=0.9)
+    prepared = prepare_step(model, batch, cfg, uniform_behavior(5), model.copy())
+    before = evaluate_prepared(model, batch, cfg, prepared, compute_grads=False).loss
+    model.params["W"][0, 1] += 1e-3
+    after = evaluate_prepared(model, batch, cfg, prepared, compute_grads=False).loss
+    stale = evaluate_prepared(
+        model, batch, cfg, prepared, compute_grads=False, forward=prepared.forward
+    ).loss
+    assert after != before
+    assert stale == before
+
+
 # -- tabular surrogate bound ---------------------------------------------------------
 
 

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from lpirec.encoder import EncoderConfig
+from lpirec import policy
+from lpirec.encoder import EncoderConfig, encode_backward
 from lpirec.policy import (
     CheckpointError,
     CheckpointShapeError,
@@ -142,12 +143,13 @@ def test_copy_is_deep():
 def test_head_backward_matches_finite_differences():
     rng = np.random.default_rng(3)
     model = make_model(catalog=8, dim=5, seed=12)
-    contexts = [tuple(rng.integers(0, 8, size=rng.integers(1, 5))) for _ in range(5)]
-    dlogits = rng.standard_normal((5, 8))
-    dq = rng.standard_normal((5, 8))
+    contexts = [tuple(rng.integers(0, 8, size=rng.integers(1, 5))) for _ in range(6)]
+    dlogits = rng.standard_normal((6, 8))
+    actions = np.array([2, 5, 2, 0, 5, 2])  # repeated actions share a Q row
+    values = rng.standard_normal(6)
 
     cache = model.encode(contexts)
-    grads = model.backward(cache, dlogits=dlogits, dq=dq)
+    grads = model.backward(cache, dlogits=dlogits, dq_at=(actions, values))
 
     batch = model.as_batch(contexts)
 
@@ -155,7 +157,7 @@ def test_head_backward_matches_finite_differences():
         c = model.encode(batch)
         return float(
             (model.policy_logits_from(c) * dlogits).sum()
-            + (model.q_values_from(c) * dq).sum()
+            + (model.q_values_at(c, actions) * values).sum()
         )
 
     step = 1e-6
@@ -175,6 +177,46 @@ def test_head_backward_matches_finite_differences():
             np.linalg.norm(numeric), 1e-12
         )
         assert rel < 1e-4, f"{name}: relative error {rel}"
+
+
+def test_gathered_q_equals_its_column_of_the_full_head():
+    rng = np.random.default_rng(8)
+    for catalog, dim in ((1, 3), (9, 4), (300, 32)):
+        model = make_model(catalog=catalog, dim=dim, seed=catalog)
+        model.params["q_b"] = rng.standard_normal(catalog)
+        contexts = [tuple(rng.integers(0, catalog, size=rng.integers(0, 6))) for _ in range(40)]
+        actions = rng.integers(0, catalog, size=40)
+        cache = model.encode(contexts)
+        full = model.q_values_from(cache)[np.arange(40), actions]
+        np.testing.assert_allclose(model.q_values_at(cache, actions), full, rtol=0, atol=1e-15)
+
+
+def test_gathered_td_backward_matches_the_dense_one_hot_reference(monkeypatch):
+    dstates = []
+
+    def recording(params, cache, dstate, grads):
+        dstates.append(dstate.copy())
+        encode_backward(params, cache, dstate, grads)
+
+    monkeypatch.setattr(policy, "encode_backward", recording)
+    rng = np.random.default_rng(4)
+    for catalog, dim, n in ((5, 3, 12), (40, 8, 64), (300, 32, 256)):
+        model = make_model(catalog=catalog, dim=dim, seed=n)
+        contexts = [tuple(rng.integers(0, catalog, size=rng.integers(1, 8))) for _ in range(n)]
+        # few distinct actions, so most rows repeat one
+        actions = rng.integers(0, min(catalog, 6), size=n)
+        values = rng.standard_normal(n)
+        dlogits = rng.standard_normal((n, catalog))
+        cache = model.encode(contexts)
+        grads = model.backward(cache, dlogits=dlogits, dq_at=(actions, values))
+
+        # the dense form: a one-hot (n, catalog) dq through two matmuls
+        dq = np.zeros((n, catalog))
+        dq[np.arange(n), actions] = values
+        dense_dstate = dlogits @ model.head_matrix() + dq @ model.params["q_W"]
+        assert np.array_equal(grads["q_b"], dq.sum(axis=0))
+        np.testing.assert_allclose(grads["q_W"], dq.T @ cache.state, rtol=0, atol=1e-15)
+        assert np.array_equal(dstates.pop(), dense_dstate)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -566,6 +566,47 @@ def test_a_step_pads_only_what_it_reads(monkeypatch):
         assert padded[2 * i + 1] is batch.next_contexts
 
 
+def test_a_step_runs_each_forward_once(monkeypatch):
+    """Encodes and catalog-wide heads per gradient step, per model."""
+    forwards = {}
+
+    def counting(name, slot):
+        original = getattr(SequenceModel, name)
+
+        def counted(self, *args, **kwargs):
+            forwards.setdefault(self, [0, 0])[slot] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SequenceModel, name, counted)
+
+    counting("encode", 0)
+    counting("policy_logits_from", 1)
+    counting("q_values_from", 1)
+    rng = np.random.default_rng(5)
+    dataset = dataset_of([list(rng.integers(0, 12, size=6)) for _ in range(40)], catalog=12)
+    encoder = EncoderConfig(catalog_size=12, dim=8)
+    behavior = SequenceModel.initialize(encoder, 4)
+    # [encodes, heads]: mu_hat scores the contexts; the model encodes the
+    # contexts once, shared with the loss, and the next contexts once for
+    # the online argmax; the target network reads Q at best_next only
+    expected = {
+        "lpi": ([1, 1], [[1, 0], [2, 3]]),
+        "sac": (None, [[1, 0], [2, 2]]),
+        "ips_ce": ([1, 1], [[1, 2]]),
+        "ce": (None, [[1, 1]]),
+    }
+    for kind, (behavior_counts, model_counts) in expected.items():
+        td_weight = 1.0 if kind in objectives.TD_KINDS else 0.0
+        cfg = RunConfig(objective=kind, beta=0.5, td_weight=td_weight, discount=0.5,
+                        epochs=2, batch_size=64, dim=8)
+        forwards.clear()
+        steps = train_model(dataset, cfg, encoder=encoder, behavior_model=behavior).log[-1]["steps"]
+        per_step = {model: [n / steps for n in counts] for model, counts in forwards.items()}
+        assert steps > 2
+        assert per_step.pop(behavior, None) == behavior_counts, kind
+        assert sorted(per_step.values()) == model_counts, kind
+
+
 # -- fit_imputation -------------------------------------------------------------
 
 
