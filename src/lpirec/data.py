@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -306,7 +308,8 @@ class ExampleColumns:
 
     ``contexts`` views the concatenated items. An example's action is the
     item right after its context, so its next context is the same slice, one
-    item longer.
+    item longer. Indexing with an index array selects those examples from
+    every column; a training step's batch is such a selection.
     """
 
     contexts: RaggedContexts
@@ -320,14 +323,33 @@ class ExampleColumns:
     def __len__(self) -> int:
         return len(self.actions)
 
-    @classmethod
-    def of(cls, examples: list[TrainingExample] | ExampleColumns) -> ExampleColumns:
-        """Listed TrainingExamples as columns, reward-to-go = reward; columns pass as is.
+    def __getitem__(self, rows) -> ExampleColumns:
+        return ExampleColumns(
+            contexts=self.contexts[rows],
+            actions=self.actions[rows],
+            rewards=self.rewards[rows],
+            terminals=self.terminals[rows],
+            reward_to_go=self.reward_to_go[rows],
+            events=self.events[rows],
+            sequence_ids=self.sequence_ids[rows],
+        )
 
-        Each next context must be its context followed by its action.
+    @cached_property
+    def next_contexts(self) -> RaggedContexts:
+        """The contexts' view one item longer, built once per object."""
+        contexts = self.contexts
+        return RaggedContexts(contexts.items, contexts.starts, contexts.lengths + 1)
+
+    @classmethod
+    def of(cls, examples: Iterable[TrainingExample] | ExampleColumns) -> ExampleColumns:
+        """TrainingExamples as columns, reward-to-go = reward; columns pass as is.
+
+        ``examples`` is any iterable of TrainingExample, read once. Each next
+        context must be its context followed by its action.
         """
         if isinstance(examples, cls):
             return examples
+        examples = list(examples)
         for i, ex in enumerate(examples):
             if tuple(ex.next_context) != (*ex.context, ex.action):
                 raise ValueError(
@@ -400,11 +422,11 @@ def expand_columns(
     )
 
 
-def _csv_int(raw: str, column: str, line: int) -> int:
+def _csv_int(raw: str, column: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"line {line}: column {column!r} holds {raw!r}, not an integer") from None
+        raise ValueError(f"column {column!r} holds {raw!r}, not an integer") from None
 
 
 def load_interactions_csv(
@@ -427,24 +449,27 @@ def load_interactions_csv(
         if missing:
             raise ValueError(f"interaction CSV missing columns: {missing}")
         for row in reader:
-            short = [c for c in _CSV_COLUMNS[:4] if row[c] is None]
-            if short:
-                raise ValueError(f"line {reader.line_num}: row has no value for {short}")
-            line = reader.line_num
-            event = row["event_type"].strip()
-            if event == EVENT_RATING:
-                raw = (row.get("rating") or "").strip()
-                if not raw:
-                    raise ValueError(f"line {line}: rating row without rating value")
-                reward = map_rating_to_reward(_csv_int(raw, "rating", line))
-            else:
-                reward = map_event_to_reward(event, reward_click, reward_purchase)
+            try:
+                short = [c for c in _CSV_COLUMNS[:4] if row[c] is None]
+                if short:
+                    raise ValueError(f"row has no value for {short}")
+                event = row["event_type"].strip()
+                if event == EVENT_RATING:
+                    raw = (row.get("rating") or "").strip()
+                    if not raw:
+                        raise ValueError("rating row without rating value")
+                    reward = map_rating_to_reward(_csv_int(raw, "rating"))
+                else:
+                    reward = map_event_to_reward(event, reward_click, reward_purchase)
+                timestamp = _csv_int(row["timestamp"], "timestamp")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             sid = row["session_id"].strip()
             inter = Interaction(
                 item=row["item_id"].strip(),
                 event=event,
                 reward=reward,
-                timestamp=_csv_int(row["timestamp"], "timestamp", line),
+                timestamp=timestamp,
             )
             if sid not in groups:
                 groups[sid] = []

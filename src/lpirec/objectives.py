@@ -27,12 +27,13 @@ gradient explicitly; the named losses below are one-shot wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import ExampleColumns, RaggedContexts, TrainingExample, discounted_returns
-from .encoder import EncodeCache, PaddedBatch, pad_contexts
+from .encoder import EncodeCache, pad_contexts
 from .estimators import SupportViolationError
 from .policy import SequenceModel, log_softmax, softmax
 
@@ -78,35 +79,6 @@ class ObjectiveConfig:
             raise ValueError("target_refresh must be >= 1")
 
 
-@dataclass
-class ExampleBatch:
-    """Vectorized training examples, contexts as ragged views, padded on first use."""
-
-    contexts: RaggedContexts
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_contexts: RaggedContexts
-    terminals: np.ndarray
-    reward_to_go: np.ndarray
-    _padding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def pad(self, recency: float) -> PaddedBatch:
-        """Contexts padded with ``recency``; built once per recency."""
-        return self._padded("contexts", recency)
-
-    def pad_next(self, recency: float) -> PaddedBatch:
-        """Next contexts padded with ``recency``; built once per recency."""
-        return self._padded("next_contexts", recency)
-
-    def _padded(self, name: str, recency: float) -> PaddedBatch:
-        if (name, recency) not in self._padding:
-            self._padding[name, recency] = pad_contexts(getattr(self, name), recency)
-        return self._padding[name, recency]
-
-
 def _check_consecutive(examples: list[TrainingExample]) -> None:
     positions = [ex.position for ex in examples]
     if any(b != a + 1 for a, b in zip(positions, positions[1:])):
@@ -148,46 +120,35 @@ def attach_reward_to_go(examples: list[TrainingExample], discount: float) -> np.
 
 
 def build_batch(
-    examples: list[TrainingExample] | ExampleColumns,
+    examples: Iterable[TrainingExample] | ExampleColumns,
     reward_to_go: np.ndarray | None = None,
     recency: float | None = None,
     rows: np.ndarray | None = None,
-) -> ExampleBatch:
-    """Collate examples into a batch, both halves padded for ``recency`` if given.
+) -> ExampleColumns:
+    """The batch ``examples[rows]`` as ExampleColumns (default: every row).
 
-    ``examples`` is an ExampleColumns, or a list of TrainingExample turned
-    into one first; the index array ``rows`` (default: all) selects the
-    batch, whose contexts are views into the columns' items. ``reward_to_go``
-    must align with the batch; it defaults to the columns' own reward-to-go,
-    which for a list is each example's reward.
+    ``examples`` is an ExampleColumns, or an iterable of TrainingExample
+    turned into one first; the batch's contexts are views into the columns'
+    items. ``reward_to_go`` must align with the batch; it defaults to the
+    columns' own reward-to-go, which for a list is each example's reward.
+    ``recency`` is accepted and not read: a step pads what it reads itself.
     """
     examples = ExampleColumns.of(examples)
     rows = np.arange(len(examples)) if rows is None else np.asarray(rows, dtype=np.int64)
     if not len(rows):
         raise ValueError("batch must be non-empty")
-    if reward_to_go is None:
-        reward_to_go = examples.reward_to_go[rows]
-    elif len(reward_to_go) != len(rows):
-        raise ValueError(
-            f"reward_to_go has {len(reward_to_go)} entries for a batch of {len(rows)}"
-        )
-    contexts = examples.contexts[rows]
-    batch = ExampleBatch(
-        contexts=contexts,
-        actions=examples.actions[rows],
-        rewards=examples.rewards[rows],
-        next_contexts=RaggedContexts(contexts.items, contexts.starts, contexts.lengths + 1),
-        terminals=examples.terminals[rows],
-        reward_to_go=np.array(reward_to_go, dtype=float),
-    )
-    if recency is not None:
-        batch.pad(recency)
-        batch.pad_next(recency)
+    batch = examples[rows]
+    if reward_to_go is not None:
+        if len(reward_to_go) != len(rows):
+            raise ValueError(
+                f"reward_to_go has {len(reward_to_go)} entries for a batch of {len(rows)}"
+            )
+        batch = replace(batch, reward_to_go=np.array(reward_to_go, dtype=float))
     return batch
 
 
-def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleBatch:
-    if isinstance(batch, ExampleBatch):
+def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleColumns:
+    if isinstance(batch, ExampleColumns):
         return batch
     examples = list(batch)
     rtg = attach_reward_to_go(examples, discount) if need_rtg else None
@@ -251,7 +212,7 @@ def lpi_weight(advantage, beta: float, cap: float = DEFAULT_WEIGHT_CAP):
 
 def prepare_step(
     model: SequenceModel,
-    batch: ExampleBatch,
+    batch: ExampleColumns,
     config: ObjectiveConfig,
     logging_policy=None,
     target_model: SequenceModel | None = None,
@@ -262,21 +223,29 @@ def prepare_step(
     callable mapping a sequence of contexts to an (n, catalog) action
     probability array. Kinds in BEHAVIOR_KINDS require it and score it on
     this batch; the others never read it. ``target_model`` supplies TD target
-    values when td_weight > 0.
+    values when td_weight > 0. The contexts and next contexts are padded on
+    first read, once per recency.
     """
-    padded = batch.pad(model.config.recency)
+    padding = {}
+
+    def pad(recency: float, following: bool = False):
+        if (recency, following) not in padding:
+            contexts = batch.next_contexts if following else batch.contexts
+            padding[recency, following] = pad_contexts(contexts, recency)
+        return padding[recency, following]
+
     n = len(batch)
     rows = np.arange(n)
 
     if config.kind in BEHAVIOR_KINDS:
         if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
-        behavior = _behavior_probs(logging_policy, batch.contexts, batch.pad)
+        behavior = _behavior_probs(logging_policy, batch.contexts, pad)
     else:
         behavior = None
 
     encodes = config.kind in ("lpi", "sac", "ips_ce", "ips_pg")
-    forward = model.encode(padded) if encodes else None
+    forward = model.encode(pad(model.config.recency)) if encodes else None
 
     if config.kind in ("ce", "sqn"):
         weights = np.ones(n)
@@ -312,11 +281,10 @@ def prepare_step(
     if config.td_weight > 0:
         if target_model is None:
             raise ValueError("td_weight > 0 requires a target model")
-        next_padded = batch.pad_next(model.config.recency)
-        q_next_online = model.q_values_from(model.encode(next_padded))
+        q_next_online = model.q_values_from(model.encode(pad(model.config.recency, True)))
         best_next = q_next_online.argmax(axis=-1)
         bootstrap = target_model.q_values_at(
-            target_model.encode(batch.pad_next(target_model.config.recency)), best_next
+            target_model.encode(pad(target_model.config.recency, True)), best_next
         )
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
@@ -340,7 +308,7 @@ class LossBatch:
 
 def evaluate_prepared(
     model: SequenceModel,
-    batch: ExampleBatch,
+    batch: ExampleColumns,
     config: ObjectiveConfig,
     prepared: PreparedWeights,
     compute_grads: bool = True,
@@ -361,7 +329,9 @@ def evaluate_prepared(
     if n == 0:
         raise ValueError("batch must be non-empty")
     rows = np.arange(n)
-    cache = forward if forward is not None else model.encode(batch.pad(model.config.recency))
+    cache = forward
+    if cache is None:
+        cache = model.encode(pad_contexts(batch.contexts, model.config.recency))
     logits = model.policy_logits_from(cache)
     log_probs = log_softmax(logits)
     weights = prepared.policy_weights
@@ -407,7 +377,7 @@ def composite_loss(
 
     Recomputes the stop-gradient constants (weights, TD targets) from the
     current model, then evaluates the differentiable composite. ``batch`` may
-    be an ExampleBatch or a list of examples.
+    be an ExampleColumns or a list of examples.
     """
     batch = _as_batch(batch, config.discount, need_rtg=config.kind in ("pg", "ips_pg"))
     prepared = prepare_step(model, batch, config, logging_policy, target_model)

@@ -12,6 +12,7 @@ from lpirec.data import (
     Interaction,
     PreprocessRules,
     SessionSequence,
+    expand_columns,
     expand_examples,
     load_interactions_csv,
     map_event_to_reward,
@@ -132,6 +133,24 @@ def test_csv_bad_numbers_rejected_naming_line_and_column(tmp_path, row, message)
     path = tmp_path / "bad.csv"
     path.write_text(
         f"session_id,timestamp,item_id,event_type,rating\ns1,1,a,rating,4\n{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as raised:
+        load_interactions_csv(path)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s1,2,b,view,", "line 3: unknown event type 'view'"),
+        ("s1,2,b,rating,7", "line 3: rating must be in 1..5, got 7"),
+    ],
+)
+def test_csv_bad_event_or_rating_rejected_naming_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"session_id,timestamp,item_id,event_type,rating\ns1,1,a,click,\n{row}\n",
         encoding="utf-8",
     )
     with pytest.raises(ValueError) as raised:
@@ -352,6 +371,50 @@ def test_columns_reject_a_next_context_that_is_not_context_then_action():
     bad = replace(good[0], context=(0,), action=1, next_context=(5, 2))
     with pytest.raises(ValueError, match="not its context .* followed by its action"):
         ExampleColumns.of([good[1], bad])
+
+
+def test_a_row_selection_selects_every_column():
+    def session(sid, items, events):
+        return SessionSequence(
+            sid,
+            [
+                Interaction(item=i, event=e, reward=0.1 * (t + 1), timestamp=t)
+                for t, (i, e) in enumerate(zip(items, events))
+            ],
+        )
+
+    columns = expand_columns(
+        [
+            session("a", [3, 1, 4, 1, 5], ["click", "purchase", "click", "click", "purchase"]),
+            session("b", [9, 2, 6], ["click", "click", "purchase"]),
+            session("c", [5, 3], ["click", "purchase"]),
+        ],
+        loss_window=3,
+        discount=0.5,
+    )
+    names = ("actions", "rewards", "terminals", "reward_to_go", "events", "sequence_ids")
+    rows = np.array([4, 0, 2, 2, 5])
+    picked = columns[rows]
+    assert isinstance(picked, ExampleColumns) and len(picked) == len(rows)
+    assert list(picked.contexts) == [columns.contexts[i] for i in rows]
+    for name in names:
+        np.testing.assert_array_equal(getattr(picked, name), getattr(columns, name)[rows])
+    assert set(picked.events) == {"click", "purchase"}
+    assert set(picked.sequence_ids) == {"a", "b", "c"}
+
+    inner = np.array([3, 0, 4])
+    twice, once = picked[inner], columns[rows[inner]]
+    assert list(twice.contexts) == list(once.contexts)
+    for name in names:
+        np.testing.assert_array_equal(getattr(twice, name), getattr(once, name))
+
+    for selection in (columns, picked):
+        following = selection.next_contexts
+        assert following is selection.next_contexts
+        assert list(following) == [
+            (*context, action)
+            for context, action in zip(selection.contexts, selection.actions)
+        ]
 
 
 def test_example_counts_and_window_sizes_on_random_lengths():

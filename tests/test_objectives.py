@@ -595,6 +595,15 @@ def test_a_misaligned_reward_to_go_is_rejected():
     np.testing.assert_array_equal(batch.reward_to_go, [1.75, 1.0])
 
 
+def test_a_generator_batches_like_its_list():
+    exs = [example((0,), 1, pos=0), example((0, 1), 2, pos=1), example((4,), 0, pos=2)]
+    listed, generated = build_batch(exs), build_batch(ex for ex in exs)
+    assert len(generated) == len(listed) == 3
+    assert list(generated.contexts) == list(listed.contexts)
+    for name in ("actions", "rewards", "terminals", "reward_to_go", "events", "sequence_ids"):
+        np.testing.assert_array_equal(getattr(generated, name), getattr(listed, name))
+
+
 def test_a_callable_behavior_reads_a_columnar_batch_as_tuples():
     interactions = [Interaction(item=i, event="click", reward=0.5, timestamp=i) for i in range(5)]
     columns = expand_columns([SessionSequence("s", interactions)], loss_window=5, discount=0.0)

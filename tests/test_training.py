@@ -314,8 +314,8 @@ def test_columnar_batches_equal_batches_of_expanded_examples(discount):
     order = rng.permutation(len(examples))
     for start in range(0, len(order), 5):
         rows = order[start : start + 5]
-        got = build_batch(columns, recency=0.7, rows=rows)
-        want = build_batch([examples[i] for i in rows], rtg[rows], recency=0.7)
+        got = build_batch(columns, rows=rows)
+        want = build_batch([examples[i] for i in rows], rtg[rows])
         contexts = [examples[i].context for i in rows]
         next_contexts = [examples[i].next_context for i in rows]
         assert list(got.contexts) == list(want.contexts) == contexts
@@ -325,13 +325,16 @@ def test_columnar_batches_equal_batches_of_expanded_examples(discount):
             assert getattr(got, name).dtype == getattr(want, name).dtype
         # the list padding path is the independent reference
         pairs = (
-            (got.pad(0.7), want.pad(0.7), pad_contexts(contexts, 0.7)),
-            (got.pad_next(0.7), want.pad_next(0.7), pad_contexts(next_contexts, 0.7)),
+            (got.contexts, want.contexts, contexts),
+            (got.next_contexts, want.next_contexts, next_contexts),
         )
-        for padded, listed, reference in pairs:
-            for name in ("indices", "weights", "lengths"):
-                np.testing.assert_array_equal(getattr(padded, name), getattr(reference, name))
-                np.testing.assert_array_equal(getattr(listed, name), getattr(reference, name))
+        for ragged, listed, plain in pairs:
+            reference = pad_contexts(plain, 0.7)
+            for padded in (pad_contexts(ragged, 0.7), pad_contexts(listed, 0.7)):
+                for name in ("indices", "weights", "lengths"):
+                    np.testing.assert_array_equal(
+                        getattr(padded, name), getattr(reference, name)
+                    )
 
 
 def test_train_model_never_expands_a_train_sequence(monkeypatch):
@@ -490,7 +493,9 @@ def test_lpi_scores_the_behavior_model_on_each_steps_own_batch(monkeypatch):
     assert n_steps == result.log[-1]["steps"] > 3
     assert n_scored == n_steps
     for batch, scored in zip(steps, behavior.scored):
-        assert scored is batch.pad(0.3)
+        reference = pad_contexts(batch.contexts, 0.3)
+        for name in ("indices", "weights", "lengths"):
+            np.testing.assert_array_equal(getattr(scored, name), getattr(reference, name))
 
 
 def test_objectives_without_a_behavior_term_never_score_the_behavior_model():
@@ -811,6 +816,16 @@ def test_evaluate_examples_reads_a_list_and_its_columns_alike():
     assert {"ndcg_purchase_at_3", "iar_at_1", "kl_vs_behavior"} <= set(from_list.metrics)
     assert from_list.breakdown is not None
     assert from_columns.to_json() == from_list.to_json()
+
+
+def test_evaluate_examples_reads_a_generator_like_its_list():
+    sequences = mixed_sequences(20, 7, seed=4)
+    listed = [ex for seq in sequences for ex in expand_examples(seq, 4) if ex.in_loss_window]
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=7, dim=4), seed=1)
+    cfg = RunConfig(eval_ks="1,3", loss_window=4)
+    from_list = evaluate_examples(model, listed, cfg)
+    from_generator = evaluate_examples(model, (ex for ex in listed), cfg)
+    assert from_generator.to_json() == from_list.to_json()
 
 
 def test_a_model_against_itself_has_exactly_zero_divergence():
