@@ -109,9 +109,9 @@ def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"row {bad[0]}: target score {t[bad[0]]} is not finite")
     higher = (scores > t[:, None]).sum(axis=1)
-    ties = (scores == t[:, None]).cumsum(axis=1)
-    earlier_ties = ties[rows, targets] - 1
-    return (1 + higher + earlier_ties).astype(np.int64)
+    earlier_ties = scores == t[:, None]
+    earlier_ties &= np.arange(scores.shape[1]) < targets[:, None]
+    return (1 + higher + earlier_ties.sum(axis=1)).astype(np.int64)
 
 
 def rank_of(model, context, target: int) -> int:
@@ -169,40 +169,43 @@ def iar_at_1(model, heldout, imputation) -> float:
 # -- divergences -------------------------------------------------------------------
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray, first_context: int | None = None) -> np.ndarray:
-    """KL(p_i | q_i) for each row i, 0 log 0 = 0; q must cover p's support.
+def _divergences(
+    p: np.ndarray, q: np.ndarray, kinds: tuple[str, ...], first_context: int | None = None
+) -> dict[str, np.ndarray]:
+    """kind -> per row i, KL(p_i | q_i) ("kl") or JS(p_i, q_i) ("js"), 0 log 0 = 0.
 
-    A violation in row i names context ``first_context + i`` when it is given.
+    log p, log q and log m (m the midpoint) are taken once, each where its
+    distribution is positive. KL needs q to cover p's support; a violation in
+    row i names context ``first_context + i`` when it is given. JS never raises.
     """
-    support = p > 0
-    bad = np.argwhere(support & (q <= 0))
-    if bad.size:
-        row, index = (int(v) for v in bad[0])
-        where = "" if first_context is None else f"context {first_context + row}: "
-        raise SupportViolationError(
-            f"{where}second distribution has zero mass at index {index} "
-            "inside the first distribution's support"
-        )
-    log_ratio = np.log(p, out=np.zeros_like(p), where=support)
-    log_ratio -= np.log(q, out=np.zeros_like(q), where=support)
-    log_ratio *= p
-    return log_ratio.sum(axis=1)
-
-
-def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(KL(p_i|m_i) + KL(q_i|m_i)) / 2 per row, m the midpoint; never raises."""
+    p, q = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (p, q))
+    if p.shape != q.shape:
+        raise ValueError(f"distributions have shapes {p.shape} and {q.shape}")
+    if "kl" in kinds:
+        bad = np.argwhere((p > 0) & (q <= 0))
+        if bad.size:
+            row, index = (int(v) for v in bad[0])
+            where = "" if first_context is None else f"context {first_context + row}: "
+            raise SupportViolationError(
+                f"{where}second distribution has zero mass at index {index} "
+                "inside the first distribution's support"
+            )
+    log_p, log_q = (np.log(x, out=np.zeros_like(x), where=x > 0) for x in (p, q))
     m = 0.5 * (p + q)
-    return 0.5 * _kl_rows(p, m) + 0.5 * _kl_rows(q, m)
+    log_m = np.log(m, out=m, where=m > 0)  # in place: m is read only through its log
+    kl = ((log_p - log_q) * p).sum(axis=1)
+    js = 0.5 * ((log_p - log_m) * p).sum(axis=1) + 0.5 * ((log_q - log_m) * q).sum(axis=1)
+    return {kind: kl if kind == "kl" else js for kind in kinds}
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """sum p * (log p - log q) with 0 log 0 = 0; q must cover p's support."""
-    return float(_kl_rows(np.asarray(p, dtype=float)[None], np.asarray(q, dtype=float)[None])[0])
+    return float(_divergences(p, q, ("kl",))["kl"][0])
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """(KL(p|m) + KL(q|m)) / 2 with m the midpoint; bounded by [0, ln 2]."""
-    return float(_js_rows(np.asarray(p, dtype=float)[None], np.asarray(q, dtype=float)[None])[0])
+    return float(_divergences(p, q, ("js",))["js"][0])
 
 
 def divergence_rows(
@@ -234,12 +237,9 @@ def divergence_rows(
     values = {kind: np.empty(len(contexts)) for kind in kinds}
     for start in range(0, len(contexts), _DIVERGENCE_CHUNK):
         chunk = contexts[start : start + _DIVERGENCE_CHUNK]
-        p = np.asarray(model.probs(chunk), dtype=float)
-        q = np.asarray(logging_estimate.probs(chunk), dtype=float)
-        for kind, out in values.items():
-            out[start : start + len(chunk)] = (
-                _js_rows(p, q) if kind == "js" else _kl_rows(p, q, first_context=start)
-            )
+        p, q = model.probs(chunk), logging_estimate.probs(chunk)
+        for kind, rows in _divergences(p, q, kinds, first_context=start).items():
+            values[kind][start : start + len(chunk)] = rows
     return values
 
 

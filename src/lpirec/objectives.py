@@ -35,7 +35,7 @@ import numpy as np
 from .data import ExampleColumns, RaggedContexts, TrainingExample, discounted_returns
 from .encoder import EncodeCache, pad_contexts
 from .estimators import SupportViolationError
-from .policy import SequenceModel, log_softmax, softmax
+from .policy import SequenceModel, log_softmax
 
 OBJECTIVE_KINDS = ("ce", "reward_ce", "lpi", "ips_ce", "pg", "ips_pg", "sqn", "sac")
 TD_KINDS = frozenset({"sqn", "sac", "lpi"})
@@ -171,17 +171,23 @@ def _behavior_probs(logging_policy, contexts: RaggedContexts, pad=None) -> np.nd
 # -- per-step constants (the stop-gradient side) --------------------------------
 
 
+def _forward(model: SequenceModel, padded) -> tuple[EncodeCache, np.ndarray]:
+    """The model's encode of padded contexts and its policy log-probabilities."""
+    cache = model.encode(padded)
+    return cache, log_softmax(model.policy_logits_from(cache))
+
+
 @dataclass
 class PreparedWeights:
     """Constants for one gradient step: policy weights and TD targets.
 
-    ``forward`` is the model's encode of the contexts, when prepare_step made
-    one; it is valid only for the parameters prepare_step saw.
+    ``forward`` is the model's forward on the contexts, run for every kind
+    (see _forward); it is valid only for the parameters prepare_step saw.
     """
 
     policy_weights: np.ndarray
     td_targets: np.ndarray | None = None
-    forward: EncodeCache | None = None
+    forward: tuple[EncodeCache, np.ndarray] | None = None
 
 
 def _advantages(q: np.ndarray, behavior: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -241,11 +247,15 @@ def prepare_step(
         if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
         behavior = _behavior_probs(logging_policy, batch.contexts, pad)
+        if behavior.shape != (n, model.config.catalog_size):
+            raise ValueError(
+                f"behavior estimate gives probabilities of shape {behavior.shape} for "
+                f"{n} contexts over a catalog of {model.config.catalog_size}"
+            )
     else:
         behavior = None
 
-    encodes = config.kind in ("lpi", "sac", "ips_ce", "ips_pg")
-    forward = model.encode(pad(model.config.recency)) if encodes else None
+    cache, log_probs = _forward(model, pad(model.config.recency))
 
     if config.kind in ("ce", "sqn"):
         weights = np.ones(n)
@@ -256,7 +266,6 @@ def prepare_step(
     elif config.kind == "pg":
         weights = batch.reward_to_go.copy()
     elif config.kind in RATIO_KINDS:
-        probs = softmax(model.policy_logits_from(forward))
         mu = behavior[rows, batch.actions]
         bad = np.flatnonzero(mu <= 0)
         if bad.size:
@@ -265,13 +274,13 @@ def prepare_step(
                 "behavior estimate assigns zero probability to logged action "
                 f"{int(batch.actions[i])} (batch row {i})"
             )
-        ratios = np.minimum(probs[rows, batch.actions] / mu, config.clip)
+        ratios = np.minimum(np.exp(log_probs[rows, batch.actions]) / mu, config.clip)
         base = batch.rewards if config.kind == "ips_ce" else batch.reward_to_go
         weights = ratios * base
     elif config.kind == "sac":
-        weights = model.q_values_at(forward, batch.actions)
+        weights = model.q_values_at(cache, batch.actions)
     elif config.kind == "lpi":
-        q = model.q_values_from(forward)
+        q = model.q_values_from(cache)
         advantages = _advantages(q, behavior, batch.actions)
         weights = lpi_weight(advantages, config.beta, config.max_policy_weight)
     else:  # pragma: no cover - guarded by ObjectiveConfig
@@ -289,7 +298,7 @@ def prepare_step(
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
         )
-    return PreparedWeights(policy_weights=weights, td_targets=td_targets, forward=forward)
+    return PreparedWeights(weights, td_targets, (cache, log_probs))
 
 
 # -- the differentiable side -----------------------------------------------------
@@ -312,7 +321,7 @@ def evaluate_prepared(
     config: ObjectiveConfig,
     prepared: PreparedWeights,
     compute_grads: bool = True,
-    forward: EncodeCache | None = None,
+    forward: tuple[EncodeCache, np.ndarray] | None = None,
 ) -> LossBatch:
     """Evaluate L = -(1/B) sum w_i log pi(a_i|x_i) + lambda * L_TD.
 
@@ -320,20 +329,18 @@ def evaluate_prepared(
     this function is an ordinary differentiable loss of the model parameters
     (finite differences against its gradients agree).
 
-    ``forward`` is the model's encode of the batch's contexts, reused instead
-    of encoding again; pass ``prepared.forward`` only while the parameters
-    are the ones prepare_step saw. Without it the contexts are encoded
+    ``forward`` is the model's forward on the batch's contexts, reused
+    instead of running it again; pass ``prepared.forward`` only while the
+    parameters are the ones prepare_step saw. Without it the forward runs
     fresh, so the loss follows the current parameters.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("batch must be non-empty")
     rows = np.arange(n)
-    cache = forward
-    if cache is None:
-        cache = model.encode(pad_contexts(batch.contexts, model.config.recency))
-    logits = model.policy_logits_from(cache)
-    log_probs = log_softmax(logits)
+    if forward is None:
+        forward = _forward(model, pad_contexts(batch.contexts, model.config.recency))
+    cache, log_probs = forward
     weights = prepared.policy_weights
     policy_term = float(-(weights * log_probs[rows, batch.actions]).mean())
 

@@ -61,6 +61,7 @@ LOG_SCHEMA_VERSION = 1
 _BEHAVIOR_SEED_OFFSET = 101
 _BATCH_SEED_OFFSET = 17
 _BREAKDOWN_K = 20
+_SCORE_CHUNK = 2048
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -89,15 +90,15 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     return split(dataset, fractions, cfg.seed)
 
 
-def batched_policy_scores(model: SequenceModel, contexts, chunk: int = 2048) -> np.ndarray:
+def batched_policy_scores(model: SequenceModel, contexts) -> np.ndarray:
     rows = []
-    for start in range(0, len(contexts), chunk):
-        rows.append(model.policy_logits(contexts[start : start + chunk]))
+    for start in range(0, len(contexts), _SCORE_CHUNK):
+        rows.append(model.policy_logits(contexts[start : start + _SCORE_CHUNK]))
     return np.concatenate(rows, axis=0)
 
 
-def batched_probs(model: SequenceModel, contexts, chunk: int = 2048) -> np.ndarray:
-    return softmax(batched_policy_scores(model, contexts, chunk))
+def batched_probs(model: SequenceModel, contexts) -> np.ndarray:
+    return softmax(batched_policy_scores(model, contexts))
 
 
 # -- training -------------------------------------------------------------------
@@ -393,6 +394,9 @@ def evaluate_split(
     behavior_model: SequenceModel | None = None,
 ) -> MetricsReport:
     """Evaluate a model on one split with every configured metric family."""
+    _check_catalog(model, "model", dataset)
+    if behavior_model is not None:
+        _check_catalog(behavior_model, "behavior model", dataset)
     examples = expand_columns(dataset.sequences_in(split_name), cfg.loss_window, cfg.discount)
     if not len(examples):
         raise ValueError(f"split {split_name!r} has no evaluable examples")

@@ -1,6 +1,7 @@
 """Ranking metrics, greedy-reward metrics, divergences, and report plumbing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ def test_array_rank_functions_reject_ranks_and_k_below_one():
             fn(np.array([1, 0, 3]), 5)
         with pytest.raises(ValueError, match=">= 1"):
             fn(np.array([1, 2]), 0)
+
+
+def test_ranks_of_many_rows_take_less_memory_than_their_scores():
+    # a (rows x catalog) int64 running count of ties alone would be the scores' size
+    rng = np.random.default_rng(2)
+    scores = np.round(rng.standard_normal((6000, 300)), 1)  # rounding forces ties
+    targets = rng.integers(0, 300, size=6000)
+    tracemalloc.start()
+    try:
+        ranks = ranks_from_scores(scores, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < scores.nbytes
+    order = np.argsort(-scores, axis=1, kind="stable")  # ties keep index order
+    assert np.array_equal(ranks, np.argmax(order == targets[:, None], axis=1) + 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -325,6 +342,20 @@ def test_js_is_symmetric_bounded_and_never_errors():
         v = js_divergence(p, q)
         assert 0.0 <= v <= np.log(2.0) + 1e-12
         assert v == pytest.approx(js_divergence(q, p), abs=1e-12)
+
+
+def test_js_stays_at_zero_when_the_midpoint_underflows():
+    # 0.5 * 5e-324 rounds to 0: the midpoint has no mass inside p's support
+    assert abs(js_divergence([5e-324, 1.0], [0.0, 1.0])) < 1e-300
+    assert abs(js_divergence([0.0, 1.0], [5e-324, 1.0])) < 1e-300
+
+
+def test_divergences_of_distributions_of_different_shapes_are_rejected_by_shape():
+    for divergence in (kl_divergence, js_divergence):
+        with pytest.raises(ValueError, match=r"shapes \(1, 2\) and \(1, 3\)"):
+            divergence([0.5, 0.5], [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(2, 3\)"):
+        mean_divergence(RowPolicy([0.5, 0.5]), RowPolicy([0.2, 0.3, 0.5]), [(0,), (1,)])
 
 
 def test_mean_divergence_of_identical_policies_is_zero():

@@ -403,6 +403,23 @@ def test_unsupported_action_raises_support_violation():
         ips_ce_loss(model, mu, batch)
 
 
+@pytest.mark.parametrize("kind", sorted(BEHAVIOR_KINDS))
+def test_a_behavior_estimate_of_the_wrong_shape_is_rejected_naming_it(kind):
+    model = make_model(catalog=6, seed=40)
+    batch = small_batch(catalog=6, n=4, seed=13)
+    cfg = ObjectiveConfig(kind=kind, beta=0.5)
+    estimates = {
+        (4, 1): lambda contexts: np.ones((len(contexts), 1)),
+        (3, 6): lambda contexts: np.full((len(contexts) - 1, 6), 1.0 / 6),
+        (4, 7): make_model(catalog=7, seed=41),
+    }
+    for (rows, catalog), estimate in estimates.items():
+        with pytest.raises(
+            ValueError, match=rf"shape \({rows}, {catalog}\) for 4 contexts over a catalog of 6"
+        ):
+            prepare_step(model, batch, cfg, estimate)
+
+
 # -- TD loss ----------------------------------------------------------------------
 
 
@@ -729,7 +746,7 @@ def test_a_shared_forward_gives_the_fresh_loss_and_gradients_bit_for_bit():
         cfg = ObjectiveConfig(kind=kind, beta=0.5, td_weight=td_weight, discount=0.8)
         mu = make_model(catalog=7, dim=5, seed=37) if kind in BEHAVIOR_KINDS else None
         prepared = prepare_step(model, batch, cfg, mu, make_model(catalog=7, dim=5, seed=38))
-        assert (prepared.forward is not None) == (kind in ("lpi", "sac", "ips_ce", "ips_pg"))
+        assert prepared.forward is not None
         shared = evaluate_prepared(model, batch, cfg, prepared, forward=prepared.forward)
         fresh = evaluate_prepared(model, batch, cfg, prepared)
         assert (shared.loss, shared.policy_term, shared.td_term) == (

@@ -597,7 +597,7 @@ def test_a_step_runs_each_forward_once(monkeypatch):
     expected = {
         "lpi": ([1, 1], [[1, 0], [2, 3]]),
         "sac": (None, [[1, 0], [2, 2]]),
-        "ips_ce": ([1, 1], [[1, 2]]),
+        "ips_ce": ([1, 1], [[1, 1]]),
         "ce": (None, [[1, 1]]),
     }
     for kind, (behavior_counts, model_counts) in expected.items():
@@ -886,6 +886,22 @@ def test_split_evaluation_requires_examples():
     dataset = dataset_of([[0, 1, 2]] * 5 + [[3]], catalog=4, n_validation=1)
     with pytest.raises(ValueError, match="split 'validation' has no evaluable examples"):
         evaluate_split(zeroed_model(4), dataset, "validation", RunConfig(eval_ks="1"))
+
+
+@pytest.mark.parametrize(
+    "model_catalog, behavior_catalog, named",
+    [(3, None, "model catalog size 3"), (4, 5, "behavior model catalog size 5"),
+     (5, None, "model catalog size 5")],
+    ids=["smaller-model", "larger-behavior-model", "larger-model"],
+)
+def test_split_evaluation_rejects_a_model_over_another_catalog(
+    model_catalog, behavior_catalog, named
+):
+    dataset = dataset_of([[0, 1, 2]] * 5 + [[1, 2, 3]], catalog=4, n_test=1)
+    behavior = zeroed_model(behavior_catalog) if behavior_catalog else None
+    with pytest.raises(ValueError, match=f"^{named} does not match dataset catalog size 4"):
+        evaluate_split(zeroed_model(model_catalog), dataset, "test", RunConfig(eval_ks="1"),
+                       behavior_model=behavior)
 
 
 def test_split_evaluation_marks_missing_behavior_with_a_warning():
