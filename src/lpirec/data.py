@@ -109,6 +109,9 @@ class Dataset:
     sequences: list[SessionSequence]
     catalog_size: int
     splits: dict[str, str] = field(default_factory=dict)
+    # results derived from this dataset alone, e.g. the reward imputer fit;
+    # split() builds a new Dataset, so a re-split starts empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sequences_in(self, split: str) -> list[SessionSequence]:
         if not self.splits:

@@ -191,10 +191,15 @@ def _divergences(
                 "inside the first distribution's support"
             )
     log_p, log_q = (np.log(x, out=np.zeros_like(x), where=x > 0) for x in (p, q))
+    kl = ((log_p - log_q) * p).sum(axis=1)
     m = 0.5 * (p + q)
     log_m = np.log(m, out=m, where=m > 0)  # in place: m is read only through its log
-    kl = ((log_p - log_q) * p).sum(axis=1)
-    js = 0.5 * ((log_p - log_m) * p).sum(axis=1) + 0.5 * ((log_q - log_m) * q).sum(axis=1)
+    # the JS terms in place: log p and log q are not read again
+    log_p -= log_m
+    log_p *= p
+    log_q -= log_m
+    log_q *= q
+    js = 0.5 * log_p.sum(axis=1) + 0.5 * log_q.sum(axis=1)
     return {kind: kl if kind == "kl" else js for kind in kinds}
 
 

@@ -394,10 +394,14 @@ def _imputation_arrays(ratings, n_users: int | None, n_items: int | None):
     users = np.array([t[0] for t in triples], dtype=np.int64)
     items = np.array([t[1] for t in triples], dtype=np.int64)
     values = np.array([t[2] for t in triples], dtype=float)
-    if users.min() < 0 or items.min() < 0:
-        raise ValueError("user/item indices must be non-negative")
     n_users = n_users if n_users is not None else int(users.max()) + 1
     n_items = n_items if n_items is not None else int(items.max()) + 1
+    bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
+    if bad.size:
+        raise ValueError(f"rating {triples[bad[0]]} outside the ({n_users}, {n_items}) matrix")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"rating {triples[bad[0]]} has a non-finite reward")
     sums = np.zeros((n_users, n_items))
     counts = np.zeros((n_users, n_items))
     np.add.at(sums, (users, items), values)

@@ -297,7 +297,19 @@ def fit_imputation(dataset: Dataset, cfg: RunConfig) -> tuple[ImputationModel, d
     Sequences act as imputation users. Training sequences contribute every
     interaction; validation/test sequences contribute all but their final
     interaction so the canonical held-out target stays unobserved.
+
+    The fit reads nothing else, so it is kept on the dataset, keyed by the
+    settings it is given, and shared: its factor arrays are read-only.
     """
+    settings = dict(
+        f=cfg.imputation_rank,
+        missing_target=cfg.imputation_missing_target,
+        missing_weight=cfg.imputation_missing_weight,
+        seed=cfg.seed,
+    )
+    key = ("imputation", *settings.values())
+    if key in dataset._memo:
+        return dataset._memo[key]
     user_index: dict[str, int] = {}
     triples = []
     for idx, seq in enumerate(dataset.sequences):
@@ -310,14 +322,11 @@ def fit_imputation(dataset: Dataset, cfg: RunConfig) -> tuple[ImputationModel, d
         for inter in observable:
             triples.append((idx, inter.item, inter.reward))
     model = fit_weighted_mf(
-        triples,
-        f=cfg.imputation_rank,
-        missing_target=cfg.imputation_missing_target,
-        missing_weight=cfg.imputation_missing_weight,
-        seed=cfg.seed,
-        n_users=len(dataset.sequences),
-        n_items=dataset.catalog_size,
+        triples, **settings, n_users=len(dataset.sequences), n_items=dataset.catalog_size
     )
+    model.user_factors.setflags(write=False)
+    model.item_factors.setflags(write=False)
+    dataset._memo[key] = model, user_index
     return model, user_index
 
 

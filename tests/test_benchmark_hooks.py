@@ -9,6 +9,7 @@ import numpy as np
 from lpirec import training
 from lpirec.config import RunConfig
 from lpirec.data import Dataset, Interaction, SessionSequence
+from lpirec.policy import SequenceModel
 
 CYCLEBENCH = Path(__file__).resolve().parents[1] / "cyclebench"
 
@@ -90,6 +91,27 @@ def test_every_training_encode_runs_inside_a_traced_step_span():
               "training.evaluate_examples"}
     assert steps > 2 and encodes >= 4 * steps
     assert tracer.count_under("encoder.encode", owners, phase=0) == encodes
+
+
+def test_the_first_split_evaluation_reaches_the_traced_imputer_fit():
+    # synth.fit_weighted_mf_s is timed by wrapping training.fit_weighted_mf; the
+    # fit is kept per dataset, so only a dataset's first evaluation records it
+    spans = load_spans()
+    cfg = RunConfig(data_source="synthetic", synthetic_sessions=300, imputation_rank=2, dim=8)
+    dataset = training.load_dataset(cfg)
+    model = SequenceModel.initialize(cfg.encoder_config(dataset.catalog_size), seed=0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            training.evaluate_split(model, dataset, "test", cfg)
+        training.evaluate_split(model, training.load_dataset(cfg), "test", cfg)
+    finally:
+        tracer.uninstall()
+    fits = [span for span in tracer.spans if span[0] == "synth.fit_weighted_mf"]
+    evaluations = [span for span in tracer.spans if span[0] == "training.evaluate_examples"]
+    assert len(fits) == 2 and len(evaluations) == 3
+    assert fits[0][1] < evaluations[0][1] and evaluations[1][2] < fits[1][1] < evaluations[2][1]
 
 
 def test_cyclebench_checks_pass_on_a_small_world():

@@ -13,6 +13,7 @@ from lpirec.metrics import (
     ar_at_1,
     breakdown_report,
     bucket_label,
+    divergence_rows,
     hit_rate_samples,
     hr_at_k,
     iar_at_1,
@@ -416,6 +417,24 @@ def sparse_distributions(rng, n, k):
     rows[rng.random((n, k)) < 0.35] = 0.0
     rows[np.arange(n), rng.integers(0, k, size=n)] += 0.1
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_divergence_rows_hold_about_five_chunk_arrays_at_their_peak():
+    # p, q, log p, log q and one temporary; the JS terms reuse the logs in place
+    rng = np.random.default_rng(14)
+    n, k = 6000, 300
+    p = sparse_distributions(rng, n, k)
+    q = rng.dirichlet(np.ones(k), size=n)
+    contexts = [(i,) for i in range(n)]
+    tracemalloc.start()
+    try:
+        rows = divergence_rows(IndexedPolicy(p), IndexedPolicy(q), contexts, cap=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.6 * _DIVERGENCE_CHUNK * k * 8
+    assert rows["kl"][0] == kl_divergence(p[0], q[0])
+    assert rows["js"][0] == js_divergence(p[0], q[0])
 
 
 @pytest.mark.parametrize("kind", ["js", "kl"])

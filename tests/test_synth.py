@@ -546,3 +546,20 @@ def test_empty_ratings_rejected():
         fit_weighted_mf([(0, 0, 1.0)], missing_weight=0.0)
     with pytest.raises(ValueError, match="rank"):
         fit_weighted_mf([(0, 0, 1.0)], f=0)
+
+
+def test_a_rating_outside_the_matrix_is_rejected_naming_it():
+    ratings = [(0, 0, 1.0), (1, 2, 0.5), (2, 0, 0.5), (0, 3, 0.5)]
+    with pytest.raises(ValueError, match=r"rating \(2, 0, 0\.5\) outside the \(2, 3\) matrix"):
+        fit_weighted_mf(ratings, f=1, n_users=2, n_items=3)
+    with pytest.raises(ValueError, match=r"rating \(0, 3, 0\.5\) outside the \(3, 3\) matrix"):
+        fit_weighted_mf(ratings, f=1, n_users=3, n_items=3)
+    with pytest.raises(ValueError, match=r"rating \(0, -1, 0\.5\) outside"):
+        fit_weighted_mf([(0, 0, 1.0), (0, -1, 0.5)], f=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_reward_is_rejected_naming_it(bad):
+    ratings = [(0, 0, 1.0), (1, 2, bad), (0, 1, bad)]
+    with pytest.raises(ValueError, match=rf"rating \(1, 2, {bad}\) has a non-finite reward"):
+        fit_weighted_mf(ratings, f=1, n_users=2, n_items=3)

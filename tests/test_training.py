@@ -21,6 +21,7 @@ from lpirec.data import (
     TrainingExample,
     expand_columns,
     expand_examples,
+    split,
 )
 from lpirec.encoder import EncoderConfig, pad_contexts
 from lpirec.metrics import (
@@ -930,6 +931,77 @@ def test_split_evaluation_adds_imputation_when_configured():
     assert "iar_at_1" in with_imputation.metrics
 
 
+def imputation_cfg(**overrides):
+    return synth_cfg(synthetic_sessions=400, imputation_rank=2, **overrides)
+
+
+def count_fits(monkeypatch):
+    """Record every imputer fit made through training's global name."""
+    calls = []
+    original = training.fit_weighted_mf
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "fit_weighted_mf", counted)
+    return calls
+
+
+def test_split_evaluations_of_one_dataset_fit_the_imputer_once(monkeypatch):
+    cfg = imputation_cfg()
+    model = SequenceModel.initialize(cfg.encoder_config(cfg.synthetic_catalog), seed=1)
+    names = ("test", "validation", "test")
+    fresh = [evaluate_split(model, load_dataset(cfg), name, cfg).to_json() for name in names]
+    fits = count_fits(monkeypatch)
+    dataset = load_dataset(cfg)
+    reports = [evaluate_split(model, dataset, name, cfg).to_json() for name in names]
+    assert len(fits) == 1
+    assert reports == fresh
+    assert all("iar_at_1" in json.loads(report) for report in reports)
+
+
+@pytest.mark.parametrize("change", [
+    {"imputation_rank": 3},
+    {"imputation_missing_target": 0.5},
+    {"imputation_missing_weight": 0.1},
+    {"seed": 1},
+])
+def test_each_imputer_setting_keys_its_own_fit(monkeypatch, change):
+    cfg = imputation_cfg()
+    dataset = load_dataset(cfg)
+    fits = count_fits(monkeypatch)
+    first, users = fit_imputation(dataset, cfg)
+    other, _ = fit_imputation(dataset, replace(cfg, **change))
+    assert len(fits) == 2 and other is not first
+    again, again_users = fit_imputation(dataset, cfg)
+    assert again is first and again_users is users
+    assert fit_imputation(dataset, replace(cfg, beta=2.0, eval_ks="5"))[0] is first
+    assert fit_imputation(dataset, replace(cfg, **change))[0] is other
+    assert len(fits) == 2
+
+
+def test_a_re_split_dataset_fits_its_own_imputer(monkeypatch):
+    cfg = imputation_cfg()
+    dataset = load_dataset(cfg)
+    fits = count_fits(monkeypatch)
+    first, _ = fit_imputation(dataset, cfg)
+    resplit = split(dataset, (0.5, 0.25, 0.25), seed=9)
+    assert resplit == replace(dataset, splits=resplit.splits)  # the memo is not compared
+    second, _ = fit_imputation(resplit, cfg)
+    assert fit_imputation(dataset, cfg)[0] is first
+    assert len(fits) == 2 and second is not first
+
+
+def test_the_shared_imputer_factors_are_read_only():
+    cfg = imputation_cfg()
+    model, _ = fit_imputation(load_dataset(cfg), cfg)
+    for factors in (model.user_factors, model.item_factors):
+        assert not factors.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factors[0, 0] = 1.0
+
+
 # -- report_selection_score -------------------------------------------------------
 
 
@@ -1151,6 +1223,24 @@ def test_diagnose_reports_ndcg20_even_when_not_configured(world_run, tmp_path):
     for row in rows:
         assert 0.0 <= float(row["ndcg_click_at_20"]) <= 1.0
         assert 0.0 <= float(row["ndcg_purchase_at_20"]) <= 1.0
+
+
+def test_diagnose_fits_the_imputer_once_for_every_checkpoint(world_run, tmp_path, monkeypatch):
+    cfg, paths = world_run
+    ckpts = copy_as_sweep(paths, str(tmp_path), [0.1, 1.0, 10.0])
+    fits = count_fits(monkeypatch)
+    evaluations = []
+    original = training.evaluate_split
+
+    def counted(*args, **kwargs):
+        evaluations.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate_split", counted)
+    rows = list(csv.DictReader(io.StringIO(run_diagnose(replace(cfg, imputation_rank=2), ckpts))))
+    assert len(rows) == len(evaluations) == 3
+    assert all(dataset is evaluations[0] for dataset in evaluations)
+    assert len(fits) == 1
 
 
 def test_beta_sweep_orders_behavior_divergence(tmp_path):
