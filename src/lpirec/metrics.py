@@ -213,6 +213,27 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(_divergences(p, q, ("js",))["js"][0])
 
 
+def _chunk_plan(n: int, cap: int | None, seed: int) -> tuple[int, list[tuple]]:
+    """How many of n contexts the divergences cover, and their chunks as (rows, first).
+
+    ``first`` is the position of the chunk's first row among the covered
+    contexts. With more than ``cap`` contexts those are a sorted seeded
+    subsample of ``cap``, whose chunks come first; the chunks of the remaining
+    rows follow with ``first`` None.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError(f"divergence cap must be >= 1, got {cap}")
+    step = _DIVERGENCE_CHUNK
+    if cap is None or n <= cap:
+        return n, [(slice(s, s + step), s) for s in range(0, n, step)]
+    keep = np.random.default_rng(seed).choice(n, size=cap, replace=False)
+    keep.sort()
+    rest = np.delete(np.arange(n), keep)
+    return cap, [(keep[s : s + step], s) for s in range(0, cap, step)] + [
+        (rest[s : s + step], None) for s in range(0, len(rest), step)
+    ]
+
+
 def divergence_rows(
     model,
     logging_estimate,
@@ -225,26 +246,24 @@ def divergence_rows(
 
     Both arguments expose probs(contexts) -> (n, catalog). When more than
     ``cap`` contexts are given, a seeded subsample of ``cap`` of them is used.
-    Each chunk of _DIVERGENCE_CHUNK contexts is scored once per policy for all
-    kinds. KL support violations name the offending context's position.
+    Each chunk of :func:`_chunk_plan` is scored once per policy for all kinds,
+    as an evaluation scores it. KL support violations name the offending
+    context's position.
     """
     if set(kinds) - {"kl", "js"}:
         raise ValueError(f"divergence kinds must be kl or js, got {kinds!r}")
     contexts = RaggedContexts.of(contexts)
     if not len(contexts):
         raise ValueError("contexts must be non-empty")
-    if cap is not None and cap < 1:
-        raise ValueError(f"divergence cap must be >= 1, got {cap}")
-    if cap is not None and len(contexts) > cap:
-        keep = np.random.default_rng(seed).choice(len(contexts), size=cap, replace=False)
-        keep.sort()
-        contexts = contexts[keep]
-    values = {kind: np.empty(len(contexts)) for kind in kinds}
-    for start in range(0, len(contexts), _DIVERGENCE_CHUNK):
-        chunk = contexts[start : start + _DIVERGENCE_CHUNK]
+    covered, chunks = _chunk_plan(len(contexts), cap, seed)
+    values = {kind: np.empty(covered) for kind in kinds}
+    for rows, first in chunks:
+        if first is None:
+            break
+        chunk = contexts[rows]
         p, q = model.probs(chunk), logging_estimate.probs(chunk)
-        for kind, rows in _divergences(p, q, kinds, first_context=start).items():
-            values[kind][start : start + len(chunk)] = rows
+        for kind, chunk_values in _divergences(p, q, kinds, first_context=first).items():
+            values[kind][first : first + len(chunk)] = chunk_values
     return values
 
 

@@ -19,6 +19,7 @@ from .data import Dataset, Interaction, SessionSequence, TrainingExample
 
 EVENT_SYNTH = "synthetic"
 MAX_WORLD_STATES = 64
+_SIMULATION_CHUNK = 1024
 
 
 def _check_rows_simplex(name: str, arr: np.ndarray) -> None:
@@ -327,14 +328,19 @@ def simulate_policy_value(
 ) -> tuple[float, float]:
     """Monte-Carlo per-action reward of a tabular policy: (mean, stderr).
 
-    The standard error is over per-session mean rewards.
+    The standard error is over per-session mean rewards. Sessions draw their
+    actions _SIMULATION_CHUNK at a time, so no sessions × catalog array is held.
     """
     rng = np.random.default_rng(seed)
     states = rng.choice(world.n_states, size=n_sessions, p=world.instance.context_probs)
     cdf = np.cumsum(policy_matrix, axis=-1)
     totals = np.zeros(n_sessions)
+    actions = np.empty(n_sessions, dtype=np.int64)
     for _ in range(horizon):
-        actions = _sample_actions(cdf[states], rng.random(n_sessions))
+        draws = rng.random(n_sessions)
+        for start in range(0, n_sessions, _SIMULATION_CHUNK):
+            part = slice(start, start + _SIMULATION_CHUNK)
+            actions[part] = _sample_actions(cdf[states[part]], draws[part])
         totals += world.instance.rewards[states, actions]
         states = actions % world.n_states
     per_session = totals / horizon

@@ -38,8 +38,9 @@ from .encoder import Adam, EncoderConfig, TrainingDivergedError
 from .metrics import (
     MetricsReport,
     MetricSummary,
+    _chunk_plan,
+    _divergences,
     breakdown_report,
-    divergence_rows,
     hit_rate_samples,
     mean_divergence,  # unused here; cyclebench's tracer wraps this name
     model_selection_score,
@@ -139,8 +140,13 @@ def report_selection_score(report: MetricsReport, r_p: float, r_c: float) -> flo
 
 
 def _validation_log_loss(model: SequenceModel, columns: ExampleColumns) -> float:
-    logp = log_softmax(batched_policy_scores(model, columns.contexts))
-    return float(-logp[np.arange(len(columns)), columns.actions].mean())
+    """Mean -log pi(a|x), gathered one _SCORE_CHUNK chunk of contexts at a time."""
+    logp = np.empty(len(columns))
+    for start in range(0, len(columns), _SCORE_CHUNK):
+        rows = slice(start, start + _SCORE_CHUNK)
+        chunk = log_softmax(model.policy_logits(columns.contexts[rows]))
+        logp[rows] = chunk[np.arange(len(chunk)), columns.actions[rows]]
+    return float(-logp.mean())
 
 
 def train_model(
@@ -346,13 +352,35 @@ def evaluate_examples(
     type when several are present) and AR@1. Optional inputs add iAR@1
     (imputation + user_index), the action-count breakdown (sequence_lengths),
     and mean JS/KL against the behavior estimate.
+
+    The contexts are scored once, in the chunks :func:`metrics.divergence_rows`
+    walks: each chunk is padded and encoded once per recency, and its logits
+    give the ranks, the greedy actions and, on the chunks the divergence cap
+    covers, the model's side of both divergences.
     """
     examples = ExampleColumns.of(examples)
     if not len(examples):
         raise ValueError("cannot evaluate an empty example set")
     contexts, actions = examples.contexts, examples.actions
-    scores = batched_policy_scores(model, contexts)
-    ranks = ranks_from_scores(scores, actions)
+    ranks = np.empty(len(examples), dtype=np.int64)
+    greedy = np.empty(len(examples), dtype=np.int64)
+    kinds = () if behavior_model is None else ("js", "kl")
+    cap = cfg.divergence_cap if kinds else None
+    covered, chunks = _chunk_plan(len(examples), cap, cfg.seed)
+    divergences = {kind: np.empty(covered) for kind in kinds}
+    for rows, first in chunks:
+        batch = model.as_batch(contexts[rows])
+        logits = model.policy_logits_from(model.encode(batch))
+        ranks[rows] = ranks_from_scores(logits, actions[rows])
+        greedy[rows] = logits.argmax(axis=1)
+        if not kinds or first is None:
+            continue
+        if behavior_model.config.recency != model.config.recency:
+            batch = behavior_model.as_batch(contexts[rows])
+        p = softmax(logits)
+        q = softmax(behavior_model.policy_logits_from(behavior_model.encode(batch)))
+        for kind, values in _divergences(p, q, kinds, first_context=first).items():
+            divergences[kind][first : first + len(values)] = values
     ks = cfg.eval_ks_list()
 
     metrics: dict[str, MetricSummary] = {}
@@ -367,7 +395,6 @@ def evaluate_examples(
                 metrics[f"hr_{event}_at_{k}"] = summarize(hit_rate_samples(ranks[mask], k))
                 metrics[f"ndcg_{event}_at_{k}"] = summarize(ndcg_samples(ranks[mask], k))
 
-    greedy = scores.argmax(axis=1)
     metrics["ar_at_1"] = summarize(examples.rewards * (greedy == actions))
     if imputation is not None:
         if user_index is None:
@@ -380,17 +407,18 @@ def evaluate_examples(
         ndcg20 = ndcg_samples(ranks, _BREAKDOWN_K)
         seq_ids, owner = np.unique(examples.sequence_ids, return_inverse=True)
         grouped = ndcg20[np.argsort(owner, kind="stable")]
-        bounds = np.cumsum(np.bincount(owner))[:-1]
-        per_seq = [float(values.mean()) for values in np.split(grouped, bounds)]
+        sizes = np.bincount(owner)
+        starts = np.cumsum(sizes) - sizes
+        per_seq = np.empty(len(seq_ids))
+        # row-wise means per length sum as each sequence's own mean does (reduceat does not)
+        for size in np.unique(sizes):
+            same = sizes == size
+            per_seq[same] = grouped[starts[same, None] + np.arange(size)].mean(axis=1)
         counts = [sequence_lengths[sid] for sid in seq_ids]
         breakdown = breakdown_report(per_seq, counts, max_count=cfg.max_length).breakdown
 
-    if behavior_model is not None:
-        rows = divergence_rows(
-            model, behavior_model, contexts, cap=cfg.divergence_cap, seed=cfg.seed
-        )
-        for kind, values in rows.items():
-            metrics[f"{kind}_vs_behavior"] = summarize(values)
+    for kind, values in divergences.items():
+        metrics[f"{kind}_vs_behavior"] = summarize(values)
 
     return MetricsReport(metrics=metrics, breakdown=breakdown, metadata=metadata)
 
@@ -406,10 +434,11 @@ def evaluate_split(
     _check_catalog(model, "model", dataset)
     if behavior_model is not None:
         _check_catalog(behavior_model, "behavior model", dataset)
-    examples = expand_columns(dataset.sequences_in(split_name), cfg.loss_window, cfg.discount)
+    sequences = dataset.sequences_in(split_name)
+    examples = expand_columns(sequences, cfg.loss_window, cfg.discount)
     if not len(examples):
         raise ValueError(f"split {split_name!r} has no evaluable examples")
-    sequence_lengths = {s.id: len(s) for s in dataset.sequences_in(split_name)}
+    sequence_lengths = {s.id: len(s) for s in sequences}
     imputation = None
     user_index = None
     if cfg.imputation_rank > 0:

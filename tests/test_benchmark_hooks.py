@@ -8,7 +8,7 @@ import numpy as np
 
 from lpirec import training
 from lpirec.config import RunConfig
-from lpirec.data import Dataset, Interaction, SessionSequence
+from lpirec.data import Dataset, Interaction, SessionSequence, expand_columns
 from lpirec.policy import SequenceModel
 
 CYCLEBENCH = Path(__file__).resolve().parents[1] / "cyclebench"
@@ -112,6 +112,34 @@ def test_the_first_split_evaluation_reaches_the_traced_imputer_fit():
     evaluations = [span for span in tracer.spans if span[0] == "training.evaluate_examples"]
     assert len(fits) == 2 and len(evaluations) == 3
     assert fits[0][1] < evaluations[0][1] and evaluations[1][2] < fits[1][1] < evaluations[2][1]
+
+
+def test_an_evaluation_encodes_pads_and_scores_each_context_once_per_model():
+    # encoder.encode_rows, policy.head_cells, metrics.ranked_cells and encoder.pad_fill
+    # read these counts from an evaluate_split with a behavior model
+    spans = load_spans()
+    cfg = RunConfig(data_source="synthetic", synthetic_sessions=4000, imputation_rank=2, dim=8)
+    dataset = training.load_dataset(cfg)
+    encoder = cfg.encoder_config(dataset.catalog_size)
+    model, behavior = (SequenceModel.initialize(encoder, seed) for seed in (0, 1))
+    test = expand_columns(dataset.sequences_in("test"), cfg.loss_window, cfg.discount)
+    n, catalog = len(test), dataset.catalog_size
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        training.evaluate_split(model, dataset, "test", cfg, behavior_model=behavior)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert n > 1024  # more than one evaluation chunk
+    assert counts["encoder.encode_rows"] == 2 * n
+    assert counts["policy.head_cells"] == 2 * n * catalog
+    assert counts["metrics.ranked_cells"] == n * catalog
+    # both models pool with one recency: every context is padded once, in a traced span
+    pads = sum(span[0] == "encoder.pad_contexts" for span in tracer.spans)
+    encodes = sum(span[0] == "encoder.encode" for span in tracer.spans)
+    assert counts["encoder.pad_filled"] == test.contexts.lengths.sum()
+    assert encodes == 2 * pads
 
 
 def test_cyclebench_checks_pass_on_a_small_world():

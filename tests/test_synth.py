@@ -1,6 +1,7 @@
 """Synthetic worlds, session generation, and weighted-MF reward imputation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,20 @@ def test_exact_value_agrees_with_monte_carlo_rollouts():
     exact = world_policy_value(world, policy, horizon=5)
     mc, stderr = simulate_policy_value(world, policy, horizon=5, n_sessions=100_000, seed=15)
     assert abs(mc - exact) < 3 * stderr
+
+
+def test_simulation_memory_does_not_grow_with_sessions_times_catalog():
+    # the rows of all sessions' action CDFs, gathered at once, would be 4x this bound
+    world = make_random_world(seed=16, n_states=64, catalog_size=300)
+    policy = np.random.default_rng(17).dirichlet(np.ones(300), size=64)
+    n_sessions = 20_000
+    tracemalloc.start()
+    try:
+        simulate_policy_value(world, policy, horizon=3, n_sessions=n_sessions, seed=18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_sessions * 300 / 4
 
 
 def test_projection_averages_contexts_within_states():

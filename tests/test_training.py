@@ -523,6 +523,25 @@ def test_training_memory_does_not_grow_with_examples_times_catalog():
     assert peak < 8 * n_train * dataset.catalog_size
 
 
+def test_log_loss_selection_memory_does_not_grow_with_examples_times_catalog():
+    # log_softmax of a held validation examples x catalog float64 matrix alone would be 1.0x
+    rng = np.random.default_rng(9)
+    catalog = 100
+    rows = [list(rng.integers(0, catalog, size=11)) for _ in range(2200)]
+    dataset = dataset_of(rows, catalog=catalog, n_validation=2000)
+    cfg = RunConfig(epochs=1, loss_window=10, batch_size=256, dim=8)
+    n_validation = len(expand_columns(dataset.sequences_in("validation"), 10, 0.0))
+    assert n_validation >= 20_000
+    tracemalloc.start()
+    try:
+        result = train_model(dataset, cfg, select_by="log_loss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "val_log_loss" in result.log[-1]
+    assert peak < 8 * n_validation * catalog
+
+
 def test_a_ce_fit_holds_one_steps_padding_not_the_whole_runs():
     rng = np.random.default_rng(2)
     dataset = dataset_of([list(rng.integers(0, 40, size=60)) for _ in range(200)], catalog=40)
@@ -755,6 +774,24 @@ def test_sequence_lengths_add_the_count_breakdown():
     assert report.breakdown["6-10"].count == 0
 
 
+def test_breakdown_means_equal_each_sequences_own_mean_bit_for_bit():
+    # long sequences too: np.add.reduceat and np.bincount sum them in another order
+    rng = np.random.default_rng(10)
+    sequences = [clicks(f"s{i:03d}", list(rng.integers(0, 30, size=rng.integers(2, 40))))
+                 for i in range(200)]
+    columns = expand_columns(sequences, loss_window=40, discount=0.0)
+    lengths = {seq.id: len(seq) for seq in sequences}
+    model = zeroed_model(catalog=30)
+    model.params["head_b"][:] = rng.permutation(30)  # every context's logits, exactly
+    cfg = RunConfig(eval_ks="20", max_length=40)
+    report = evaluate_examples(model, columns, cfg, sequence_lengths=lengths)
+    ranks = 1 + (model.params["head_b"] > model.params["head_b"][columns.actions, None]).sum(1)
+    ndcg20 = ndcg_samples(ranks, 20)
+    per_sequence = [float(ndcg20[columns.sequence_ids == seq.id].mean()) for seq in sequences]
+    counts = [lengths[seq.id] for seq in sequences]
+    assert report.breakdown == breakdown_report(per_sequence, counts, max_count=40).breakdown
+
+
 def test_behavior_divergence_metrics_compare_policies():
     model = zeroed_model(catalog=4)
     examples = [example((i,), i) for i in range(4)]
@@ -859,16 +896,16 @@ def test_capped_divergences_equal_mean_divergence_for_each_kind():
 
 
 class CountingModel(SequenceModel):
-    """Counts the contexts every policy_logits call scores."""
+    """Counts the contexts every catalog-wide policy head scores."""
 
     scored = 0
 
-    def policy_logits(self, contexts):
-        self.scored += len(contexts)
-        return super().policy_logits(contexts)
+    def policy_logits_from(self, cache):
+        self.scored += len(cache.state)
+        return super().policy_logits_from(cache)
 
 
-def test_evaluation_scores_the_behavior_model_once_and_the_model_twice():
+def test_evaluation_scores_the_behavior_model_once_and_the_model_once():
     cfg = synth_cfg(epochs=1, behavior_epochs=1, synthetic_sessions=300)
     dataset = load_dataset(cfg)
     n = len(expand_columns(dataset.sequences_in("test"), cfg.loss_window, cfg.discount))
@@ -876,8 +913,42 @@ def test_evaluation_scores_the_behavior_model_once_and_the_model_twice():
     model = CountingModel(encoder, SequenceModel.initialize(encoder, 1).params)
     behavior = CountingModel(encoder, SequenceModel.initialize(encoder, 2).params)
     evaluate_split(model, dataset, "test", cfg, behavior_model=behavior)
-    # the model ranks every context and is scored again for the divergences
-    assert (model.scored, behavior.scored) == (2 * n, n)
+    # one head per context gives its rank, its greedy action and the model's divergence side
+    assert (model.scored, behavior.scored) == (n, n)
+
+
+def test_a_capped_evaluation_scores_the_model_once_and_the_behavior_model_on_the_cap():
+    cfg = synth_cfg(epochs=1, behavior_epochs=1, synthetic_sessions=300, divergence_cap=50)
+    dataset = load_dataset(cfg)
+    n = len(expand_columns(dataset.sequences_in("test"), cfg.loss_window, cfg.discount))
+    assert n > cfg.divergence_cap
+    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=8)
+    model = CountingModel(encoder, SequenceModel.initialize(encoder, 1).params)
+    behavior = CountingModel(encoder, SequenceModel.initialize(encoder, 2).params)
+    report = evaluate_split(model, dataset, "test", cfg, behavior_model=behavior)
+    assert report.metrics["js_vs_behavior"].count == cfg.divergence_cap
+    assert (model.scored, behavior.scored) == (n, cfg.divergence_cap)
+
+
+def test_evaluation_memory_does_not_grow_with_examples_times_catalog():
+    # the held examples x catalog float64 ranking scores alone would be 2x this bound
+    rng = np.random.default_rng(8)
+    catalog = 100
+    sequences = [clicks(f"s{i:04d}", list(rng.integers(0, catalog, size=11))) for i in range(2000)]
+    columns = expand_columns(sequences, loss_window=10, discount=0.0)
+    n = len(columns)
+    assert n >= 20_000
+    encoder = EncoderConfig(catalog_size=catalog, dim=8)
+    model, behavior = (SequenceModel.initialize(encoder, seed) for seed in (1, 2))
+    cfg = RunConfig(eval_ks="5,20")
+    tracemalloc.start()
+    try:
+        report = evaluate_examples(model, columns, cfg, behavior_model=behavior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.metrics["kl_vs_behavior"].count == n
+    assert peak < 8 * n * catalog / 2
 
 
 # -- evaluate_split -------------------------------------------------------------
