@@ -176,22 +176,3 @@ class Adam:
             v_hat = v / (1 - self.beta2**self.t)
             params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def adam_step(
-    params: dict,
-    gradients: dict,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    optimizer: Adam | None = None,
-) -> dict:
-    """One bias-corrected Adam update in place; returns the params.
-
-    Pass the same ``optimizer`` across calls to carry moment state; omitting
-    it performs a cold single step with the given hyperparameters.
-    """
-    if optimizer is None:
-        optimizer = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    optimizer.step(params, gradients)
-    return params

@@ -172,38 +172,18 @@ def tabular_optimal_lmu(instance: TabularInstance) -> np.ndarray:
     return weighted / totals[:, None]
 
 
-def _resolve_baseline(instance: TabularInstance, baseline) -> np.ndarray:
-    if isinstance(baseline, str):
-        if baseline == "zero":
-            return np.zeros(instance.n_contexts)
-        if baseline == "max":
-            return instance.rewards.max(axis=-1)
-        if baseline == "mean":
-            return (instance.behavior * instance.rewards).sum(axis=-1)
-        raise ValueError(f"unknown baseline {baseline!r}; use zero, max, mean, or an array")
-    arr = np.asarray(baseline, dtype=float)
-    if arr.shape != (instance.n_contexts,):
-        raise ValueError("baseline array must have one entry per context")
-    return arr
+def tabular_optimal_lpi(instance: TabularInstance, beta: float) -> np.ndarray:
+    """Maximizer of the KL-penalized objective: pi* proportional to mu * exp(r / beta).
 
-
-def tabular_optimal_lpi(
-    instance: TabularInstance, beta: float, baseline="zero"
-) -> np.ndarray:
-    """Maximizer of the KL-penalized objective: pi* proportional to mu * exp((r - g)/beta).
-
-    ``baseline`` is "zero", "max" (per-context max reward), "mean" (behavior
-    expected reward), or an explicit per-context array; normalization cancels
-    it, so every choice yields the same policy.
+    A per-context baseline subtracted from r would cancel in the normalization.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    g = _resolve_baseline(instance, baseline)
     with np.errstate(divide="ignore"):
         logits = np.where(
             instance.behavior > 0, np.log(np.maximum(instance.behavior, _TINY)), -np.inf
         )
-    logits = logits + (instance.rewards - g[:, None]) / beta
+    logits = logits + instance.rewards / beta
     logits -= logits.max(axis=-1, keepdims=True)
     policy = np.exp(logits)
     policy[~np.isfinite(policy)] = 0.0
@@ -320,8 +300,10 @@ def tabular_td_learning(
     visits = np.zeros((n, k))
     pair_states = rng.integers(0, n, size=n_updates)
     pair_actions = rng.integers(0, k, size=n_updates)
-    transition_cdf = np.cumsum(instance.transitions, axis=-1)
-    next_states = _sample_actions(transition_cdf[pair_states, pair_actions], rng.random(n_updates))
+    transition_cdf = np.cumsum(instance.transitions, axis=-1).reshape(n * k, n)
+    next_states = _sample_actions(
+        transition_cdf, pair_states * k + pair_actions, rng.random(n_updates)
+    )
     for t in range(n_updates):
         x, a, nx = int(pair_states[t]), int(pair_actions[t]), int(next_states[t])
         best = int(np.argmax(q[nx]))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import RaggedContexts
 from .estimators import SupportViolationError
+from .synth import imputed_rewards
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
 DEFAULT_DIVERGENCE_CAP = 50_000
@@ -156,8 +157,6 @@ def iar_at_1(model, heldout, imputation) -> float:
     ``heldout`` is a sequence of (user, context) pairs; the imputation model
     predicts the reward of the greedy item for that user.
     """
-    from .synth import imputed_rewards
-
     pairs = list(heldout)
     if not pairs:
         raise ValueError("held-out contexts must be non-empty")

@@ -19,7 +19,7 @@ from .data import Dataset, Interaction, SessionSequence, TrainingExample
 
 EVENT_SYNTH = "synthetic"
 MAX_WORLD_STATES = 64
-_SIMULATION_CHUNK = 1024
+_SAMPLE_CHUNK = 1024
 
 
 def _check_rows_simplex(name: str, arr: np.ndarray) -> None:
@@ -34,13 +34,18 @@ def _check_reward_noise(reward_noise: str, rewards: np.ndarray) -> None:
         raise ValueError("bernoulli noise requires rewards in [0, 1]")
 
 
-def _sample_actions(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: per row, the count of cdf entries <= its draw.
+def _sample_actions(cdf: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: entry i counts the entries of ``cdf[rows[i]]`` <= ``draws[i]``.
 
     Equals ``searchsorted(side="right")``. A draw at or past a row's rounded
-    total gives the last action.
+    total gives the last action. The rows are gathered _SAMPLE_CHUNK at a
+    time, so no draws × catalog array is held.
     """
-    return np.minimum((cdf <= draws[:, None]).sum(axis=-1), cdf.shape[-1] - 1)
+    actions = np.empty(len(draws), dtype=np.int64)
+    for start in range(0, len(draws), _SAMPLE_CHUNK):
+        part = slice(start, start + _SAMPLE_CHUNK)
+        actions[part] = (cdf[rows[part]] <= draws[part, None]).sum(axis=-1)
+    return np.minimum(actions, cdf.shape[-1] - 1)
 
 
 @dataclass
@@ -142,6 +147,35 @@ def random_instance(
     return TabularInstance(context_probs, behavior, rewards, transitions, discount)
 
 
+def _rollout(
+    instance: TabularInstance,
+    policy: np.ndarray,
+    n_sessions: int,
+    horizon: int,
+    rng: np.random.Generator,
+    reward_noise: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(items, rewards) of n_sessions sessions stepped together under a tabular policy.
+
+    items[:, 0] is each session's start state, from the context distribution;
+    items[:, t + 1] is drawn from the policy row of the state at step t (the
+    last item modulo the context count), and rewards[:, t] is its reward. All
+    start states are drawn first, then each session's action and reward per step.
+    """
+    _check_reward_noise(reward_noise, instance.rewards)
+    n = instance.n_contexts
+    items = np.empty((n_sessions, horizon + 1), dtype=np.int64)
+    items[:, 0] = rng.choice(n, size=n_sessions, p=instance.context_probs)
+    draws = rng.random((n_sessions, horizon, 2 if reward_noise == "bernoulli" else 1))
+    cdf = np.cumsum(policy, axis=-1)
+    for t in range(horizon):
+        items[:, t + 1] = _sample_actions(cdf, items[:, t] % n, draws[:, t, 0])
+    rewards = instance.rewards[items[:, :-1] % n, items[:, 1:]]
+    if reward_noise == "bernoulli":
+        rewards = (draws[:, :, 1] < rewards).astype(float)
+    return items, rewards
+
+
 def sample_bandit_logs(
     instance: TabularInstance,
     n: int,
@@ -153,16 +187,8 @@ def sample_bandit_logs(
     reward_noise "none" logs the expected reward; "bernoulli" logs a 0/1 draw
     with that mean (rewards must then lie in [0, 1]).
     """
-    _check_reward_noise(reward_noise, instance.rewards)
-    contexts = rng.choice(instance.n_contexts, size=n, p=instance.context_probs)
-    cdf = np.cumsum(instance.behavior, axis=-1)
-    actions = _sample_actions(cdf[contexts], rng.random(n))
-    means = instance.rewards[contexts, actions]
-    if reward_noise == "bernoulli":
-        rewards = (rng.random(n) < means).astype(float)
-    else:
-        rewards = means.copy()
-    return contexts, actions, rewards
+    items, rewards = _rollout(instance, instance.behavior, n, 1, rng, reward_noise)
+    return items[:, 0], items[:, 1], rewards[:, 0]
 
 
 # -- sequential world ---------------------------------------------------------
@@ -250,32 +276,31 @@ def generate_sessions(
         raise ValueError("n_sessions must be >= 1")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    instance = world.instance
-    _check_reward_noise(reward_noise, instance.rewards)
     rng = np.random.default_rng(world.seed if seed is None else seed)
-    # items[:, 0] is each session's start state; every step draws its action, then its reward
-    items = np.empty((n_sessions, horizon + 1), dtype=np.int64)
-    items[:, 0] = rng.choice(world.n_states, size=n_sessions, p=instance.context_probs)
-    draws = rng.random((n_sessions, horizon, 2 if reward_noise == "bernoulli" else 1))
-    cdf = np.cumsum(instance.behavior, axis=-1)
-    for t in range(horizon):
-        items[:, t + 1] = _sample_actions(cdf[items[:, t] % world.n_states], draws[:, t, 0])
-    rewards = np.zeros(items.shape)
-    rewards[:, 1:] = instance.rewards[items[:, :-1] % world.n_states, items[:, 1:]]
-    if reward_noise == "bernoulli":
-        rewards[:, 1:] = draws[:, :, 1] < rewards[:, 1:]
+    items, rewards = _rollout(
+        world.instance, world.instance.behavior, n_sessions, horizon, rng, reward_noise
+    )
     width = len(str(max(n_sessions - 1, 1)))
     sessions = []
     for i, (row_items, row_rewards) in enumerate(zip(items.tolist(), rewards.tolist())):
         inters = [
             Interaction(item=item, event=EVENT_SYNTH, reward=reward, timestamp=t)
-            for t, (item, reward) in enumerate(zip(row_items, row_rewards))
+            for t, (item, reward) in enumerate(zip(row_items, [0.0] + row_rewards))
         ]
         sessions.append(SessionSequence(id=f"w{i:0{width}d}", interactions=inters))
     return Dataset(sequences=sessions, catalog_size=world.catalog_size)
 
 
 # -- exact evaluation of tabular policies in the world ------------------------
+
+
+def _check_world_policy(world: SyntheticWorld, policy_matrix) -> np.ndarray:
+    policy = np.asarray(policy_matrix, dtype=float)
+    expected = (world.n_states, world.catalog_size)
+    if policy.shape != expected:
+        raise ValueError(f"policy must have shape {expected}, got {policy.shape}")
+    _check_rows_simplex("policy", policy)
+    return policy
 
 
 def exact_state_visitation(
@@ -286,7 +311,7 @@ def exact_state_visitation(
     Averages the state marginals at decision times t = 0..horizon-1 starting
     from the instance's start distribution.
     """
-    t_mat = world.state_transition_matrix(policy_matrix)
+    t_mat = world.state_transition_matrix(_check_world_policy(world, policy_matrix))
     dist = world.instance.context_probs.copy()
     total = np.zeros_like(dist)
     for _ in range(horizon):
@@ -295,28 +320,14 @@ def exact_state_visitation(
     return total / horizon
 
 
-def world_policy_value(
-    world: SyntheticWorld,
-    policy_matrix: np.ndarray,
-    horizon: int,
-    visitation: np.ndarray | None = None,
-) -> float:
+def world_policy_value(world: SyntheticWorld, policy_matrix: np.ndarray, horizon: int) -> float:
     """Exact per-action expected reward of a tabular policy in the world.
 
-    Projects the rollout onto a bandit instance whose context distribution is
-    the (policy's own, unless given) exact state visitation, then evaluates it
-    with the tabular value oracle.
+    The policy's own exact state visitation times each state's expected reward.
     """
-    from .estimators import tabular_value
-
-    policy_matrix = np.asarray(policy_matrix, dtype=float)
-    _check_rows_simplex("policy", policy_matrix)
-    if visitation is None:
-        visitation = exact_state_visitation(world, policy_matrix, horizon)
-    projected = TabularInstance(
-        visitation, world.instance.behavior, world.instance.rewards
-    )
-    return tabular_value(projected, policy_matrix)
+    policy = _check_world_policy(world, policy_matrix)
+    visitation = exact_state_visitation(world, policy, horizon)
+    return float(visitation @ (policy * world.instance.rewards).sum(axis=-1))
 
 
 def simulate_policy_value(
@@ -328,22 +339,12 @@ def simulate_policy_value(
 ) -> tuple[float, float]:
     """Monte-Carlo per-action reward of a tabular policy: (mean, stderr).
 
-    The standard error is over per-session mean rewards. Sessions draw their
-    actions _SIMULATION_CHUNK at a time, so no sessions × catalog array is held.
+    The standard error is over per-session mean rewards.
     """
+    policy = _check_world_policy(world, policy_matrix)
     rng = np.random.default_rng(seed)
-    states = rng.choice(world.n_states, size=n_sessions, p=world.instance.context_probs)
-    cdf = np.cumsum(policy_matrix, axis=-1)
-    totals = np.zeros(n_sessions)
-    actions = np.empty(n_sessions, dtype=np.int64)
-    for _ in range(horizon):
-        draws = rng.random(n_sessions)
-        for start in range(0, n_sessions, _SIMULATION_CHUNK):
-            part = slice(start, start + _SIMULATION_CHUNK)
-            actions[part] = _sample_actions(cdf[states[part]], draws[part])
-        totals += world.instance.rewards[states, actions]
-        states = actions % world.n_states
-    per_session = totals / horizon
+    _, rewards = _rollout(world.instance, policy, n_sessions, horizon, rng, "none")
+    per_session = rewards.mean(axis=1)
     stderr = float(per_session.std(ddof=1) / np.sqrt(n_sessions)) if n_sessions > 1 else 0.0
     return float(per_session.mean()), stderr
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import synth
 from .config import RunConfig
 from .data import (
     Dataset,
@@ -56,7 +57,7 @@ from .objectives import (
     prepare_step,
 )
 from .policy import SequenceModel, load_checkpoint, log_softmax, save_checkpoint, softmax
-from .synth import ImputationModel, fit_weighted_mf, imputed_rewards
+from .synth import ImputationModel, fit_weighted_mf, imputed_rewards, make_random_world
 
 LOG_SCHEMA_VERSION = 1
 _BEHAVIOR_SEED_OFFSET = 101
@@ -82,10 +83,9 @@ def load_dataset(cfg: RunConfig) -> Dataset:
         )
         dataset = preprocess(raw, rules)
     else:  # synthetic: already dense and regular, no preprocessing needed
-        from .synth import generate_sessions, make_random_world
-
         world = make_random_world(cfg.synthetic_seed, cfg.synthetic_states, cfg.synthetic_catalog)
-        dataset = generate_sessions(
+        # looked up on the module, where cyclebench's tracer wraps this name
+        dataset = synth.generate_sessions(
             world, cfg.synthetic_sessions, cfg.synthetic_horizon, seed=cfg.synthetic_seed + 1
         )
     return split(dataset, fractions, cfg.seed)
@@ -174,7 +174,7 @@ def train_model(
     if objective.kind in BEHAVIOR_KINDS and behavior_model is None:
         behavior_model = fit_behavior_model(dataset, cfg, encoder)
 
-    columns = expand_columns(dataset.sequences_in("train"), cfg.loss_window, cfg.discount)
+    columns = expand_columns(dataset.sequences_in("train"), cfg.loss_window, objective.discount)
     if not len(columns):
         raise ValueError("train split expands to no examples")
     batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
@@ -182,7 +182,7 @@ def train_model(
     batch_rows = np.split(shuffled, np.arange(cfg.batch_size, len(shuffled), cfg.batch_size))
 
     val_columns = expand_columns(
-        dataset.sequences_in("validation"), cfg.loss_window, cfg.discount
+        dataset.sequences_in("validation"), cfg.loss_window, objective.discount
     )
 
     model = SequenceModel.initialize(encoder, cfg.seed + seed_offset)

@@ -93,6 +93,19 @@ def test_every_training_encode_runs_inside_a_traced_step_span():
     assert tracer.count_under("encoder.encode", owners, phase=0) == encodes
 
 
+def test_a_synthetic_load_reaches_the_traced_session_generator():
+    # synth.generate_sessions_s is timed by wrapping the name on lpirec.synth, so
+    # training must look it up there at call time, not bind it at import
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        training.load_dataset(RunConfig(data_source="synthetic", synthetic_sessions=50))
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["synth.generate_sessions", "data.split"]
+
+
 def test_the_first_split_evaluation_reaches_the_traced_imputer_fit():
     # synth.fit_weighted_mf_s is timed by wrapping training.fit_weighted_mf; the
     # fit is kept per dataset, so only a dataset's first evaluation records it

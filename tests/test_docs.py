@@ -1,5 +1,6 @@
-"""The README's figures and the package's exported names match the code."""
+"""The README's figures, the package's exported names and its imports match the code."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,3 +21,17 @@ def test_readme_states_the_package_line_count():
 def test_every_exported_name_resolves():
     missing = [name for name in lpirec.__all__ if not hasattr(lpirec, name)]
     assert missing == []
+
+
+def test_modules_import_each_other_only_at_module_level():
+    # an import inside a function hides a dependency, and with it any import cycle
+    nested = set()
+    for path in sorted((ROOT / "src" / "lpirec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.ImportFrom) and inner.level > 0
+                }
+    assert sorted(nested) == []

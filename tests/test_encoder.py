@@ -10,7 +10,6 @@ from lpirec.encoder import (
     Adam,
     EncoderConfig,
     TrainingDivergedError,
-    adam_step,
     encode,
     encode_backward,
     init_params,
@@ -310,7 +309,7 @@ def test_init_is_seed_deterministic():
 
 def test_zero_gradient_leaves_parameters_unchanged():
     params = {"w": np.array([1.0, -2.0])}
-    adam_step(params, {"w": np.zeros(2)}, lr=0.1)
+    Adam(lr=0.1).step(params, {"w": np.zeros(2)})
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
 
@@ -318,7 +317,7 @@ def test_first_step_moves_by_learning_rate():
     # bias correction makes m_hat = v_hat = 1 on the first step, so the
     # update is lr/(1 + eps) regardless of the gradient's magnitude sign
     params = {"w": np.array([1.0])}
-    adam_step(params, {"w": np.array([1.0])}, lr=0.1)
+    Adam(lr=0.1).step(params, {"w": np.array([1.0])})
     np.testing.assert_allclose(params["w"], [0.9], atol=1e-8)
 
 
@@ -347,6 +346,6 @@ def test_optimizer_state_carries_across_steps():
 def test_non_finite_gradient_raises_training_diverged():
     params = {"w": np.array([1.0])}
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, {"w": np.array([np.nan])}, lr=0.1)
+        Adam(lr=0.1).step(params, {"w": np.array([np.nan])})
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, {"w": np.array([np.inf])}, lr=0.1)
+        Adam(lr=0.1).step(params, {"w": np.array([np.inf])})

@@ -332,6 +332,37 @@ def test_simulation_memory_does_not_grow_with_sessions_times_catalog():
     assert peak < 8 * n_sessions * 300 / 4
 
 
+def test_session_generation_memory_does_not_grow_with_sessions_times_catalog():
+    # world-lpi's sessions; the action CDF rows of all sessions, gathered at once, exceed this
+    world = make_random_world(7, 64, 300)
+    n_sessions = 12_000
+    tracemalloc.start()
+    try:
+        generate_sessions(world, n_sessions, 5, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_sessions * world.catalog_size
+
+
+def test_policy_values_reject_a_policy_over_another_catalog():
+    world = make_random_world(seed=19, n_states=4, catalog_size=10)
+    policy = np.random.default_rng(20).dirichlet(np.ones(8), size=4)
+    with pytest.raises(ValueError, match=r"policy must have shape \(4, 10\), got \(4, 8\)"):
+        simulate_policy_value(world, policy, horizon=3, n_sessions=100, seed=21)
+    with pytest.raises(ValueError, match=r"policy must have shape \(4, 10\), got \(4, 8\)"):
+        world_policy_value(world, policy, horizon=3)
+    with pytest.raises(ValueError, match=r"policy must have shape \(4, 10\), got \(4, 12\)"):
+        exact_state_visitation(world, np.full((4, 12), 1 / 12), horizon=3)
+
+
+def test_simulation_rejects_policy_rows_that_are_not_distributions():
+    world = make_random_world(seed=22, n_states=4, catalog_size=10)
+    policy = np.full((4, 10), 0.09)
+    with pytest.raises(ValueError, match="policy rows must be probability distributions"):
+        simulate_policy_value(world, policy, horizon=3, n_sessions=100, seed=23)
+
+
 def test_projection_averages_contexts_within_states():
     world = make_random_world(seed=16, n_states=2, catalog_size=4)
     rows = {

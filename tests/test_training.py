@@ -297,6 +297,16 @@ def test_training_requires_train_examples():
         train_model(dataset, cfg)
 
 
+def test_reward_to_go_follows_the_objectives_discount():
+    cfg = synth_cfg(objective="pg", td_weight=0.0, synthetic_sessions=200)
+    discounted = replace(cfg, discount=0.9)
+    dataset = load_dataset(cfg)
+    given = train_model(dataset, cfg, objective=discounted.objective_config())
+    configured = train_model(dataset, discounted)
+    for name, value in configured.model.params.items():
+        assert np.array_equal(given.model.params[name], value), name
+
+
 @pytest.mark.parametrize("discount", [0.5, 0.9])
 def test_columnar_batches_equal_batches_of_expanded_examples(discount):
     loss_window = 4
