@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Interaction, SessionSequence, TrainingExample
+from .data import EVENT_SYNTHETIC, Dataset, SequenceTable, TrainingExample
 
-EVENT_SYNTH = "synthetic"
 MAX_WORLD_STATES = 64
-_SAMPLE_CHUNK = 1024
 
 
 def _check_rows_simplex(name: str, arr: np.ndarray) -> None:
@@ -37,15 +35,20 @@ def _check_reward_noise(reward_noise: str, rewards: np.ndarray) -> None:
 def _sample_actions(cdf: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: entry i counts the entries of ``cdf[rows[i]]`` <= ``draws[i]``.
 
-    Equals ``searchsorted(side="right")``. A draw at or past a row's rounded
-    total gives the last action. The rows are gathered _SAMPLE_CHUNK at a
-    time, so no draws × catalog array is held.
+    Equals ``searchsorted(side="right")`` in each draw's row: one binary
+    search over every draw at once, which reads one entry per draw and step
+    and holds no draws × catalog array. A draw at or past a row's rounded
+    total gives the last action.
     """
-    actions = np.empty(len(draws), dtype=np.int64)
-    for start in range(0, len(draws), _SAMPLE_CHUNK):
-        part = slice(start, start + _SAMPLE_CHUNK)
-        actions[part] = (cdf[rows[part]] <= draws[part, None]).sum(axis=-1)
-    return np.minimum(actions, cdf.shape[-1] - 1)
+    width = cdf.shape[-1]
+    counts = np.zeros(len(draws), dtype=np.int64)
+    step = 1 << (width.bit_length() - 1)
+    while step:  # rows are non-decreasing, so each count grows by the steps that fit
+        wider = counts + step
+        fits = (wider <= width) & (cdf[rows, np.minimum(wider, width) - 1] <= draws)
+        counts = np.where(fits, wider, counts)
+        step >>= 1
+    return np.minimum(counts, width - 1)
 
 
 @dataclass
@@ -269,8 +272,9 @@ def generate_sessions(
     """Roll out sessions under the world's behavior policy into a Dataset.
 
     Each session opens with a seed interaction (item = start state, reward 0)
-    that only establishes the state, followed by ``horizon`` sampled actions.
-    Item ids are already dense, so no preprocessing is needed.
+    that only establishes the state, followed by ``horizon`` sampled actions
+    at timestamps 1..horizon. The rollout's arrays become the dataset's table
+    as they are; item ids are already dense, so no preprocessing is needed.
     """
     if n_sessions < 1:
         raise ValueError("n_sessions must be >= 1")
@@ -281,14 +285,16 @@ def generate_sessions(
         world.instance, world.instance.behavior, n_sessions, horizon, rng, reward_noise
     )
     width = len(str(max(n_sessions - 1, 1)))
-    sessions = []
-    for i, (row_items, row_rewards) in enumerate(zip(items.tolist(), rewards.tolist())):
-        inters = [
-            Interaction(item=item, event=EVENT_SYNTH, reward=reward, timestamp=t)
-            for t, (item, reward) in enumerate(zip(row_items, [0.0] + row_rewards))
-        ]
-        sessions.append(SessionSequence(id=f"w{i:0{width}d}", interactions=inters))
-    return Dataset(sequences=sessions, catalog_size=world.catalog_size)
+    table = SequenceTable.from_columns(
+        ids=list(map(f"w%0{width}d".__mod__, range(n_sessions))),
+        lengths=np.full(n_sessions, horizon + 1),
+        items=items.ravel(),
+        rewards=np.column_stack((np.zeros(n_sessions), rewards)).ravel(),
+        events=np.zeros(items.size, dtype=np.int64),
+        event_names=(EVENT_SYNTHETIC,),
+        timestamps=np.tile(np.arange(horizon + 1), n_sessions),
+    )
+    return Dataset(table=table, catalog_size=world.catalog_size)
 
 
 # -- exact evaluation of tabular policies in the world ------------------------
@@ -395,20 +401,20 @@ class ImputationModel:
 
 
 def _imputation_arrays(ratings, n_users: int | None, n_items: int | None):
-    triples = list(ratings)
-    if not triples:
+    cells = np.array(ratings if isinstance(ratings, np.ndarray) else list(ratings), dtype=float)
+    if not len(cells):
         raise ValueError("ratings must be non-empty")
-    users = np.array([t[0] for t in triples], dtype=np.int64)
-    items = np.array([t[1] for t in triples], dtype=np.int64)
-    values = np.array([t[2] for t in triples], dtype=float)
+    users, items, values = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64), cells[:, 2]
     n_users = n_users if n_users is not None else int(users.max()) + 1
     n_items = n_items if n_items is not None else int(items.max()) + 1
-    bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
-    if bad.size:
-        raise ValueError(f"rating {triples[bad[0]]} outside the ({n_users}, {n_items}) matrix")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"rating {triples[bad[0]]} has a non-finite reward")
+    outside = (users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)
+    for bad, problem in (
+        (outside, f"outside the ({n_users}, {n_items}) matrix"),
+        (~np.isfinite(values), "has a non-finite reward"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"rating ({users[i]}, {items[i]}, {values[i]}) {problem}")
     sums = np.zeros((n_users, n_items))
     counts = np.zeros((n_users, n_items))
     np.add.at(sums, (users, items), values)
@@ -453,6 +459,7 @@ def fit_weighted_mf(
 ) -> ImputationModel:
     """Fit a weighted low-rank imputer on (user, item, reward) triples.
 
+    ``ratings`` is an iterable of triples or an (n, 3) array of them.
     Observed cells carry weight 1 and their mean reward; every missing cell is
     pulled toward ``missing_target`` with weight ``missing_weight``. Fitting
     alternates exact ridge solves over user then item factors, which makes the

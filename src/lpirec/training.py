@@ -25,6 +25,7 @@ import numpy as np
 from . import synth
 from .config import RunConfig
 from .data import (
+    SPLITS,
     Dataset,
     ExampleColumns,
     PreprocessRules,
@@ -316,20 +317,15 @@ def fit_imputation(dataset: Dataset, cfg: RunConfig) -> tuple[ImputationModel, d
     key = ("imputation", *settings.values())
     if key in dataset._memo:
         return dataset._memo[key]
-    user_index: dict[str, int] = {}
-    triples = []
-    for idx, seq in enumerate(dataset.sequences):
-        user_index[seq.id] = idx
-        observable = (
-            seq.interactions
-            if dataset.splits.get(seq.id) == "train"
-            else seq.interactions[:-1]
-        )
-        for inter in observable:
-            triples.append((idx, inter.item, inter.reward))
-    model = fit_weighted_mf(
-        triples, **settings, n_users=len(dataset.sequences), n_items=dataset.catalog_size
-    )
+    table = dataset.table
+    lengths = np.diff(table.offsets)
+    observable = np.ones(len(table.items), dtype=bool)
+    held_out = (table.splits != SPLITS.index("train")) & (lengths > 0)
+    observable[table.offsets[1:][held_out] - 1] = False
+    users = np.repeat(np.arange(len(table)), lengths)
+    cells = np.column_stack((users, table.items, table.rewards))[observable]
+    model = fit_weighted_mf(cells, **settings, n_users=len(table), n_items=dataset.catalog_size)
+    user_index = {sid: idx for idx, sid in enumerate(table.ids.tolist())}
     model.user_factors.setflags(write=False)
     model.item_factors.setflags(write=False)
     dataset._memo[key] = model, user_index
@@ -387,10 +383,11 @@ def evaluate_examples(
     for k in ks:
         metrics[f"hr_at_{k}"] = summarize(hit_rate_samples(ranks, k))
         metrics[f"ndcg_at_{k}"] = summarize(ndcg_samples(ranks, k))
-    events = sorted(set(examples.events))
-    if len(events) > 1:
-        for event in events:
-            mask = examples.events == event
+    names = examples.event_names
+    codes = sorted(np.unique(examples.event_codes).tolist(), key=names.__getitem__)
+    if len(codes) > 1:
+        for code in codes:
+            event, mask = names[code], examples.event_codes == code
             for k in ks:
                 metrics[f"hr_{event}_at_{k}"] = summarize(hit_rate_samples(ranks[mask], k))
                 metrics[f"ndcg_{event}_at_{k}"] = summarize(ndcg_samples(ranks[mask], k))
@@ -438,7 +435,7 @@ def evaluate_split(
     examples = expand_columns(sequences, cfg.loss_window, cfg.discount)
     if not len(examples):
         raise ValueError(f"split {split_name!r} has no evaluable examples")
-    sequence_lengths = {s.id: len(s) for s in sequences}
+    sequence_lengths = dict(zip(sequences.ids.tolist(), np.diff(sequences.offsets).tolist()))
     imputation = None
     user_index = None
     if cfg.imputation_rank > 0:

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lpirec import training
 from lpirec.config import RunConfig
@@ -105,6 +106,28 @@ def test_a_synthetic_load_reaches_the_traced_session_generator():
         tracer.uninstall()
     assert [span[0] for span in tracer.spans] == ["synth.generate_sessions", "data.split"]
 
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_a_traced_load_records_every_data_layer_span(tmp_path, source):
+    # the load phase's per-layer self times read these spans; a missing one reads 0
+    if source == "csv":
+        path = tmp_path / "logs.csv"
+        rows = "".join(f"s{i % 7},{i},i{i % 5},click,\n" for i in range(60))
+        path.write_text("session_id,timestamp,item_id,event_type,rating\n" + rows)
+        cfg = RunConfig(data_source="csv", data_path=str(path))
+        expected = ["data.load_interactions_csv", "data.preprocess", "data.split"]
+    else:
+        cfg = RunConfig(data_source="synthetic", synthetic_sessions=50)
+        expected = ["synth.generate_sessions", "data.split"]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        dataset = training.load_dataset(cfg)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == expected
+    assert all(own > 0 for own in tracer.self_times())
+    assert len(dataset.sequences_in("train")) > 0
 
 def test_the_first_split_evaluation_reaches_the_traced_imputer_fit():
     # synth.fit_weighted_mf_s is timed by wrapping training.fit_weighted_mf; the

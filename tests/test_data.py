@@ -1,16 +1,20 @@
 """Reward maps, CSV ingestion, preprocessing, splitting, and example expansion."""
 
-from dataclasses import replace
+import csv
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from lpirec import synth
 from lpirec.data import (
     Dataset,
     EmptyDatasetError,
     ExampleColumns,
     Interaction,
     PreprocessRules,
+    SequenceTable,
     SessionSequence,
     expand_columns,
     expand_examples,
@@ -431,3 +435,225 @@ def test_example_counts_and_window_sizes_on_random_lengths():
 def test_expand_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         expand_examples(clicks("s", [1, 2, 3]), loss_window=0)
+
+
+# -- the sequence table --------------------------------------------------------
+
+
+def reference_preprocess(raw, rules):
+    """(sequences, catalog size) of preprocessing SessionSequence objects rule by rule."""
+    seqs = [(s.id, list(s.interactions[-rules.max_length :])) for s in raw]
+    while True:
+        support = Counter(item for _, inters in seqs for item in {it.item for it in inters})
+        kept = [
+            (sid, [it for it in inters if support[it.item] >= rules.min_item_support])
+            for sid, inters in seqs
+        ]
+        kept = [
+            (sid, inters)
+            for sid, inters in kept
+            if sum(rules.min_count_event in (None, it.event) for it in inters)
+            >= rules.min_interactions
+        ]
+        if kept == seqs:
+            break
+        seqs = kept
+    raw_items = {it.item for _, inters in seqs for it in inters}
+    index = {
+        item: i
+        for i, item in enumerate(sorted(raw_items, key=lambda x: (isinstance(x, str), x)))
+    }
+    sequences = [
+        SessionSequence(sid, [replace(it, item=index[it.item]) for it in inters])
+        for sid, inters in seqs
+    ]
+    return sequences, len(index)
+
+
+def reference_examples(sequences, loss_window, discount):
+    """The loss-window examples of SessionSequence objects, one position at a time."""
+    rows = []
+    for seq in sequences:
+        items = [it.item for it in seq.interactions]
+        n = len(items)
+        for t in range(max(1, n - loss_window), n):
+            reward_to_go = 0.0
+            for it in reversed(seq.interactions[t:]):
+                reward_to_go = it.reward + discount * reward_to_go
+            inter = seq.interactions[t]
+            rows.append(
+                (tuple(items[:t]), items[t], inter.reward, t == n - 1, reward_to_go,
+                 inter.event, seq.id)
+            )
+    return rows
+
+
+def rows_of(columns):
+    return list(zip(
+        list(columns.contexts), columns.actions.tolist(), columns.rewards.tolist(),
+        columns.terminals.tolist(), columns.reward_to_go.tolist(), columns.events.tolist(),
+        columns.sequence_ids.tolist(),
+    ))
+
+
+def assert_splits_expand_like_the_reference(dataset, sequences, seed):
+    dataset = split(dataset, (0.5, 0.25, 0.25), seed=seed)
+    assert list(dataset.sequences) == sequences
+    for name in ("train", "validation", "test"):
+        expected = [s for s in sequences if dataset.splits[s.id] == name]
+        assert list(dataset.sequences_in(name)) == expected
+        for loss_window, discount in ((1, 0.0), (3, 0.5), (50, 0.9)):
+            columns = expand_columns(dataset.sequences_in(name), loss_window, discount)
+            assert rows_of(columns) == reference_examples(expected, loss_window, discount)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_generated_world_expands_like_its_rollout(seed):
+    world = synth.make_random_world(seed, n_states=8, catalog_size=20)
+    dataset = synth.generate_sessions(world, 120, 5, seed=seed + 1)
+    items, rewards = synth._rollout(
+        world.instance, world.instance.behavior, 120, 5, np.random.default_rng(seed + 1), "none"
+    )
+    sequences = [
+        SessionSequence(f"w{i:03d}", [
+            Interaction(int(item), "synthetic", reward, t)
+            for t, (item, reward) in enumerate(zip(items[i], [0.0, *rewards[i]]))
+        ])
+        for i in range(120)
+    ]
+    assert_splits_expand_like_the_reference(dataset, sequences, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_rating_csv_loads_preprocesses_and_expands_like_the_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    lines = [
+        (f"u{rng.integers(0, 40)}", int(rng.integers(0, 30)), f"m{rng.integers(0, 25)}",
+         "rating", int(rng.integers(1, 6)))
+        for _ in range(600)
+    ]
+    path = tmp_path / "ratings.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("session_id", "timestamp", "item_id", "event_type", "rating"),
+                                  *lines])
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            reward = {1: 0.0, 2: 0.0, 3: 0.5, 4: 1.0, 5: 1.0}[int(row["rating"])]
+            groups.setdefault(row["session_id"], []).append(
+                Interaction(row["item_id"], "rating", reward, int(row["timestamp"]))
+            )
+    # sessions in first-seen order, each stably sorted by timestamp
+    raw = [SessionSequence(sid, sorted(g, key=lambda it: it.timestamp))
+           for sid, g in groups.items()]
+    table = load_interactions_csv(path)
+    assert list(table) == raw
+    with pytest.raises(ValueError, match="raw item ids; preprocess them first"):
+        expand_columns(table, loss_window=2, discount=0.0)
+    rules = PreprocessRules(min_interactions=3, min_item_support=2, max_length=6)
+    sequences, catalog_size = reference_preprocess(raw, rules)
+    dataset = preprocess(table, rules)
+    assert dataset.catalog_size == catalog_size
+    assert_splits_expand_like_the_reference(dataset, sequences, seed)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_sequences_preprocess_and_expand_like_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    pool = [*range(-3, 9), *(f"s{k}" for k in range(6)), "7", "10"]  # mixed str/int ids
+    raw = [
+        SessionSequence(f"q{k}", [
+            Interaction(pool[rng.integers(len(pool))], ("click", "purchase")[rng.integers(2)],
+                        float(rng.integers(0, 3)) / 2, int(t))
+            for t in range(rng.integers(0, 12))
+        ])
+        for k in range(rng.integers(1, 25))
+    ]
+    rules = PreprocessRules(
+        min_interactions=int(rng.integers(1, 4)),
+        min_item_support=int(rng.integers(1, 4)),
+        max_length=int(rng.integers(1, 9)),
+        min_count_event=(None, "click", "purchase", "view")[seed % 4],
+    )
+    sequences, catalog_size = reference_preprocess(raw, rules)
+    if not sequences:
+        with pytest.raises(EmptyDatasetError):
+            preprocess(raw, rules)
+        return
+    dataset = preprocess(raw, rules)
+    assert dataset.catalog_size == catalog_size
+    assert_splits_expand_like_the_reference(dataset, sequences, seed)
+
+
+def test_duplicate_sequence_ids_are_rejected():
+    # three sequences a, a, b would split (0.34, 0.33, 0.33) into [0, 2, 1] sequences
+    raw = [clicks("a", [0, 1]), clicks("a", [1, 2]), clicks("b", [2, 0])]
+    with pytest.raises(ValueError, match="duplicate sequence id 'a'"):
+        Dataset(sequences=raw, catalog_size=3)
+    with pytest.raises(ValueError, match="duplicate sequence id 'a'"):
+        preprocess(raw, PreprocessRules())
+    with pytest.raises(ValueError, match="duplicate sequence id 'a'"):
+        expand_columns(raw, loss_window=2, discount=0.0)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s1,2, ,click,", "line 3: column 'item_id' is blank"),
+        (",2,z,click,", "line 3: column 'session_id' is blank"),
+        (" ,2,z,click,", "line 3: column 'session_id' is blank"),
+        ("s1,9223372036854775808,z,click,",
+         "line 3: column 'timestamp' holds '9223372036854775808', outside int64"),
+        ("s1,-9223372036854775809,z,click,",
+         "line 3: column 'timestamp' holds '-9223372036854775809', outside int64"),
+    ],
+)
+def test_csv_blank_ids_and_out_of_range_timestamps_rejected_naming_their_line(
+    tmp_path, row, message
+):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"session_id,timestamp,item_id,event_type,rating\ns1,1,a,click,\n{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as raised:
+        load_interactions_csv(path)
+    assert str(raised.value) == message
+
+
+def test_the_int64_bounds_are_valid_timestamps(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(
+        "session_id,timestamp,item_id,event_type,rating\n"
+        "s,9223372036854775807,b,click,\ns,-9223372036854775808,a,click,\n",
+        encoding="utf-8",
+    )
+    (seq,) = load_interactions_csv(path)
+    assert [(it.item, it.timestamp) for it in seq.interactions] == [
+        ("a", -(2**63)), ("b", 2**63 - 1)
+    ]
+
+
+def test_a_dataset_reads_its_sequences_back_as_views():
+    raw = [clicks("a", [0, 1, 2]), clicks("b", [2, 1]), clicks("c", [1])]
+    dataset = Dataset(sequences=raw, catalog_size=3, splits={"a": "train", "c": "test"})
+    assert isinstance(dataset.sequences, SequenceTable) and len(dataset.sequences) == 3
+    assert list(dataset.sequences) == raw and dataset.sequences[-1] == raw[2]
+    assert list(dataset.sequences[1:]) == raw[1:]
+    assert dataset.splits == {"a": "train", "c": "test"}
+    assert list(dataset.sequences_in("train")) == raw[:1]
+    assert list(dataset.sequences_in("validation")) == []
+    with pytest.raises(ValueError, match="unknown split 'tset'"):
+        dataset.sequences_in("tset")
+    with pytest.raises(ValueError, match="unknown split 'dev'"):
+        Dataset(sequences=raw, catalog_size=3, splits={"a": "dev"})
+
+
+def test_a_batch_selection_copies_no_object_column():
+    columns = expand_columns([clicks("a", [0, 1, 2]), clicks("b", [2, 1])], 2, 0.0)
+    picked = columns[np.array([2, 0])]
+    shared = ("contexts", "event_names", "owner_ids")
+    per_example = [f.name for f in fields(picked) if f.name not in shared]
+    assert all(getattr(picked, name).dtype != object for name in per_example)
+    assert picked.event_names is columns.event_names and picked.owner_ids is columns.owner_ids
+    assert picked.sequence_ids.tolist() == ["b", "a"] and picked.events.tolist() == ["click"] * 2

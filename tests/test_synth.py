@@ -26,6 +26,7 @@ from lpirec.synth import (
     weighted_mf_objective,
     world_policy_value,
 )
+from lpirec.synth import _sample_actions
 
 
 TOP_DRAW = 1.0 - 2.0**-53  # the largest value Generator.random can return
@@ -344,6 +345,23 @@ def test_session_generation_memory_does_not_grow_with_sessions_times_catalog():
         tracemalloc.stop()
     assert peak < 8 * n_sessions * world.catalog_size
 
+
+@pytest.mark.parametrize("catalog", [1, 2, 7, 64, 300])
+def test_inverse_cdf_draws_equal_a_searchsorted_per_draw(catalog):
+    rng = np.random.default_rng(catalog)
+    probs = rng.dirichlet(np.full(catalog, 0.3), size=6)
+    probs[rng.random(probs.shape) < 0.3] = 0.0  # flat runs in the CDF
+    probs[probs.sum(axis=1) == 0, 0] = 1.0
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=-1)
+    cdf[5] *= 0.999  # a row whose rounded total falls short of 1
+    rows = rng.integers(0, 6, size=2000)
+    draws = rng.random(2000)
+    draws[:300] = cdf[rows[:300], rng.integers(0, catalog, size=300)]  # draws on CDF values
+    draws[300:320] = np.nextafter(1.0, 0.0)
+    draws[320:340] = 0.0
+    expected = [min(int(np.searchsorted(cdf[r], d, side="right")), catalog - 1)
+                for r, d in zip(rows, draws)]
+    assert _sample_actions(cdf, rows, draws).tolist() == expected
 
 def test_policy_values_reject_a_policy_over_another_catalog():
     world = make_random_world(seed=19, n_states=4, catalog_size=10)

@@ -193,6 +193,21 @@ def test_synthetic_source_yields_split_sessions():
     assert [s.items() for s in again.sequences] == [s.items() for s in dataset.sequences]
 
 
+def test_a_loaded_world_keeps_its_sessions_in_flat_columns():
+    # 12,000 sessions of 6 interactions, world-lpi's size: one object per
+    # interaction kept about 12 MiB alive, the table's columns keep about 3 MiB
+    cfg = synth_cfg(synthetic_states=64, synthetic_catalog=300, synthetic_sessions=12_000,
+                    synthetic_horizon=5)
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(cfg)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.sequences) == 12_000
+    assert kept < 4 * 2**20
+
+
 # -- train_model ----------------------------------------------------------------
 
 
