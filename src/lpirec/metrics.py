@@ -20,7 +20,7 @@ from .synth import imputed_rewards
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
 DEFAULT_DIVERGENCE_CAP = 50_000
-_DIVERGENCE_CHUNK = 1024
+_DIVERGENCE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,13 @@ def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise ValueError(f"row {bad[0]}: target score {t[bad[0]]} is not finite")
-    higher = (scores > t[:, None]).sum(axis=1)
-    earlier_ties = scores == t[:, None]
-    earlier_ties &= np.arange(scores.shape[1]) < targets[:, None]
-    return (1 + higher + earlier_ties.sum(axis=1)).astype(np.int64)
+    at_target = t[:, None]
+    ranks = 1 + np.count_nonzero(scores > at_target, axis=1).astype(np.int64)
+    equal = scores == at_target
+    if np.count_nonzero(equal) > len(t):  # some target ties another item
+        equal &= np.arange(scores.shape[1]) < targets[:, None]
+        ranks += np.count_nonzero(equal, axis=1)
+    return ranks
 
 
 def rank_of(model, context, target: int) -> int:
@@ -174,13 +177,17 @@ def _divergences(
     """kind -> per row i, KL(p_i | q_i) ("kl") or JS(p_i, q_i) ("js"), 0 log 0 = 0.
 
     log p, log q and log m (m the midpoint) are taken once, each where its
-    distribution is positive. KL needs q to cover p's support; a violation in
-    row i names context ``first_context + i`` when it is given. JS never raises.
+    distribution is positive; without a zero entry (the usual softmax case)
+    that is the plain log, and q covers p's support. KL needs that cover; a
+    violation in row i names context ``first_context + i`` when it is given.
+    JS never raises. Neither input is written to.
     """
     p, q = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (p, q))
     if p.shape != q.shape:
         raise ValueError(f"distributions have shapes {p.shape} and {q.shape}")
-    if "kl" in kinds:
+    # initial=1: an empty pair has no zero either
+    positive = p.min(initial=1) > 0 and q.min(initial=1) > 0
+    if "kl" in kinds and not positive:
         bad = np.argwhere((p > 0) & (q <= 0))
         if bad.size:
             row, index = (int(v) for v in bad[0])
@@ -189,10 +196,17 @@ def _divergences(
                 f"{where}second distribution has zero mass at index {index} "
                 "inside the first distribution's support"
             )
-    log_p, log_q = (np.log(x, out=np.zeros_like(x), where=x > 0) for x in (p, q))
-    kl = ((log_p - log_q) * p).sum(axis=1)
-    m = 0.5 * (p + q)
-    log_m = np.log(m, out=m, where=m > 0)  # in place: m is read only through its log
+    if positive:
+        log_p, log_q = np.log(p), np.log(q)
+    else:
+        log_p, log_q = (np.log(x, out=np.zeros_like(x), where=x > 0) for x in (p, q))
+    # one buffer holds the KL terms, then the midpoint m, then log m
+    terms = np.subtract(log_p, log_q)
+    terms *= p
+    kl = terms.sum(axis=1)
+    m = np.add(p, q, out=terms)
+    m *= 0.5
+    log_m = np.log(m, out=m, where=True if positive else m > 0)
     # the JS terms in place: log p and log q are not read again
     log_p -= log_m
     log_p *= p

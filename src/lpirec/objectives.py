@@ -190,9 +190,18 @@ class PreparedWeights:
     forward: tuple[EncodeCache, np.ndarray] | None = None
 
 
-def _advantages(q: np.ndarray, behavior: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Per row, A(x, a) = Q(x, a) - sum_a' mu_hat(a'|x) Q(x, a')."""
-    return q[np.arange(len(actions)), actions] - (behavior * q).sum(axis=-1)
+def _advantages(
+    model: SequenceModel, cache: EncodeCache, behavior: np.ndarray, actions: np.ndarray
+) -> np.ndarray:
+    """Per row, A(x, a) = Q(x, a) - sum_a' mu_hat(a'|x) Q(x, a') from the encoded contexts.
+
+    The baseline's product is formed in the Q array allocated here; ``behavior``
+    may be a caller's array and is only read.
+    """
+    q = model.q_values_from(cache)
+    taken = q[np.arange(len(actions)), actions]
+    q *= behavior
+    return taken - q.sum(axis=-1)
 
 
 def advantage_from_q(model: SequenceModel, logging_policy, context, action: int) -> float:
@@ -202,9 +211,8 @@ def advantage_from_q(model: SequenceModel, logging_policy, context, action: int)
     result as a constant during differentiation.
     """
     contexts = RaggedContexts.of([tuple(context)])
-    q = model.q_values(contexts)
     mu = _behavior_probs(logging_policy, contexts)
-    return float(_advantages(q, mu, np.array([action]))[0])
+    return float(_advantages(model, model.encode(contexts), mu, np.array([action]))[0])
 
 
 def lpi_weight(advantage, beta: float, cap: float = DEFAULT_WEIGHT_CAP):
@@ -280,8 +288,7 @@ def prepare_step(
     elif config.kind == "sac":
         weights = model.q_values_at(cache, batch.actions)
     elif config.kind == "lpi":
-        q = model.q_values_from(cache)
-        advantages = _advantages(q, behavior, batch.actions)
+        advantages = _advantages(model, cache, behavior, batch.actions)
         weights = lpi_weight(advantages, config.beta, config.max_policy_weight)
     else:  # pragma: no cover - guarded by ObjectiveConfig
         raise AssertionError(config.kind)
@@ -347,8 +354,8 @@ def evaluate_prepared(
     dlogits = None
     dq_at = None
     if compute_grads:
-        probs = np.exp(log_probs)
-        dlogits = probs * weights[:, None]
+        dlogits = np.exp(log_probs)
+        dlogits *= weights[:, None]
         dlogits[rows, batch.actions] -= weights
         dlogits /= n
 

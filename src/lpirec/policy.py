@@ -43,12 +43,16 @@ class CheckpointTruncatedError(CheckpointError):
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """logits - max - log(sum(exp(logits - max))) per row, formed in one new array."""
+    logits = np.asarray(logits, dtype=float)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
+    out = log_softmax(logits)
+    return np.exp(out, out=out)
 
 
 def greedy_action(distribution: np.ndarray) -> int:
@@ -87,10 +91,14 @@ class SequenceModel:
         return pad_contexts(contexts, self.config.recency)
 
     def policy_logits_from(self, cache: EncodeCache) -> np.ndarray:
-        return cache.state @ self.head_matrix().T + self.params["head_b"]
+        logits = cache.state @ self.head_matrix().T
+        logits += self.params["head_b"]
+        return logits
 
     def q_values_from(self, cache: EncodeCache) -> np.ndarray:
-        return cache.state @ self.params["q_W"].T + self.params["q_b"]
+        q = cache.state @ self.params["q_W"].T
+        q += self.params["q_b"]
+        return q
 
     def q_values_at(self, cache: EncodeCache, actions: np.ndarray) -> np.ndarray:
         """Q(x_i, a_i) per row: one column of ``q_values_from`` each, gathered."""

@@ -393,26 +393,32 @@ def evaluate_examples(
                 metrics[f"ndcg_{event}_at_{k}"] = summarize(ndcg_samples(ranks[mask], k))
 
     metrics["ar_at_1"] = summarize(examples.rewards * (greedy == actions))
+    # the source sequences that have examples, by owner code; each id is read once
+    owners = examples.owners
+    sizes = np.bincount(owners, minlength=len(examples.owner_ids))
+    present = np.flatnonzero(sizes)
+    present_ids = examples.owner_ids[present]
     if imputation is not None:
         if user_index is None:
             raise ValueError("imputation metrics need the sequence-to-user index")
-        users = [user_index[sid] for sid in examples.sequence_ids]
-        metrics["iar_at_1"] = summarize(imputed_rewards(imputation, users, greedy))
+        user_of = np.zeros(len(sizes), dtype=np.int64)
+        user_of[present] = [user_index[sid] for sid in present_ids]
+        metrics["iar_at_1"] = summarize(imputed_rewards(imputation, user_of[owners], greedy))
 
     breakdown = None
     if sequence_lengths is not None:
         ndcg20 = ndcg_samples(ranks, _BREAKDOWN_K)
-        seq_ids, owner = np.unique(examples.sequence_ids, return_inverse=True)
-        grouped = ndcg20[np.argsort(owner, kind="stable")]
-        sizes = np.bincount(owner)
+        grouped = ndcg20[np.argsort(owners, kind="stable")]
+        sizes = sizes[present]
         starts = np.cumsum(sizes) - sizes
-        per_seq = np.empty(len(seq_ids))
+        per_seq = np.empty(len(present))
         # row-wise means per length sum as each sequence's own mean does (reduceat does not)
         for size in np.unique(sizes):
             same = sizes == size
             per_seq[same] = grouped[starts[same, None] + np.arange(size)].mean(axis=1)
-        counts = [sequence_lengths[sid] for sid in seq_ids]
-        breakdown = breakdown_report(per_seq, counts, max_count=cfg.max_length).breakdown
+        by_id = np.argsort(present_ids, kind="stable")  # the breakdown reads sequences by id
+        counts = [sequence_lengths[sid] for sid in present_ids[by_id]]
+        breakdown = breakdown_report(per_seq[by_id], counts, max_count=cfg.max_length).breakdown
 
     for kind, values in divergences.items():
         metrics[f"{kind}_vs_behavior"] = summarize(values)

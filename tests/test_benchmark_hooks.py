@@ -10,6 +10,7 @@ import pytest
 from lpirec import training
 from lpirec.config import RunConfig
 from lpirec.data import Dataset, Interaction, SessionSequence, expand_columns
+from lpirec.metrics import _DIVERGENCE_CHUNK
 from lpirec.policy import SequenceModel
 
 CYCLEBENCH = Path(__file__).resolve().parents[1] / "cyclebench"
@@ -167,7 +168,7 @@ def test_an_evaluation_encodes_pads_and_scores_each_context_once_per_model():
     finally:
         tracer.uninstall()
     counts = tracer.counts
-    assert n > 1024  # more than one evaluation chunk
+    assert n > _DIVERGENCE_CHUNK  # more than one evaluation chunk
     assert counts["encoder.encode_rows"] == 2 * n
     assert counts["policy.head_cells"] == 2 * n * catalog
     assert counts["metrics.ranked_cells"] == n * catalog

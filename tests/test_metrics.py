@@ -464,6 +464,21 @@ def test_mean_divergence_is_the_mean_of_the_scalar_divergences(kind):
     assert stderr == pytest.approx(per_row[keep].std(ddof=1) / np.sqrt(cap), abs=1e-12)
 
 
+def test_a_chunk_holding_one_zero_gives_each_row_its_own_scalar_divergences():
+    # the first chunk holds a zero and takes the masked logs, the second takes plain ones
+    rng = np.random.default_rng(15)
+    n, k = _DIVERGENCE_CHUNK + 40, 300
+    p, q = rng.dirichlet(np.ones(k), size=n), rng.dirichlet(np.ones(k), size=n)
+    p[7, 3] = 0.0
+    p[7] /= p[7].sum()
+    assert p.min() == 0.0 and p[_DIVERGENCE_CHUNK:].min() > 0 and q.min() > 0
+    contexts = [(i,) for i in range(n)]
+    rows = divergence_rows(IndexedPolicy(p), IndexedPolicy(q), contexts, cap=None)
+    for kind, scalar in (("kl", kl_divergence), ("js", js_divergence)):
+        per_row = np.array([scalar(p[i], q[i]) for i in range(n)])
+        assert np.array_equal(rows[kind], per_row)
+
+
 def test_kl_support_violation_past_the_first_chunk_names_the_global_context():
     n = 2 * _DIVERGENCE_CHUNK + 10
     p = np.full((n, 3), 1.0 / 3.0)

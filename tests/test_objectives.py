@@ -584,14 +584,15 @@ def test_composite_loss_splits_into_policy_and_td_terms():
     assert out.td_term > 0
 
 
-def test_a_prepadded_batch_is_pooled_with_the_model_recency():
-    exs = [example((0, 1, 2), 3, pos=0), example((4, 5, 1, 2), 0, pos=1)]
-    model = SequenceModel.initialize(EncoderConfig(catalog_size=6, dim=4, recency=0.5), 0)
-    padded_for_other = ce_loss(model, build_batch(exs, recency=0.8))
-    padded_for_model = ce_loss(model, build_batch(exs, recency=0.5))
-    assert padded_for_other.loss == padded_for_model.loss
-    for name, grad in padded_for_model.gradients.items():
-        np.testing.assert_array_equal(padded_for_other.gradients[name], grad)
+@pytest.mark.parametrize("kind", ["lpi", "ips_ce"])
+def test_a_step_only_reads_the_behavior_estimates_array(kind):
+    catalog = 6
+    held = np.random.default_rng(3).dirichlet(np.ones(catalog), size=4)
+    kept = held.copy()
+    batch = small_batch(catalog=catalog, n=4, seed=5)
+    config = ObjectiveConfig(kind=kind, td_weight=1.0 if kind == "lpi" else 0.0, discount=0.5)
+    prepare_step(make_model(catalog), batch, config, lambda contexts: held, make_model(catalog))
+    assert np.array_equal(held, kept)
 
 
 def test_empty_batch_rejected():

@@ -55,6 +55,15 @@ def test_log_probs_exponentiate_to_unit_mass():
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_softmax_and_log_softmax_leave_their_logits_unchanged():
+    logits = np.random.default_rng(2).standard_normal((5, 9))
+    held = logits.copy()
+    probs, log_probs = softmax(logits), log_softmax(logits)
+    assert np.array_equal(logits, held)
+    assert not np.shares_memory(probs, logits) and not np.shares_memory(log_probs, logits)
+    assert np.array_equal(probs, np.exp(log_probs))
+
+
 # -- greedy action ---------------------------------------------------------------
 
 

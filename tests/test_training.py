@@ -976,6 +976,25 @@ def test_evaluation_memory_does_not_grow_with_examples_times_catalog():
     assert peak < 8 * n * catalog / 2
 
 
+def test_an_evaluation_holds_a_few_small_chunks_at_a_time():
+    # 6,000 contexts over 300 items: ~7 float64 temporaries of a 1,024-row chunk exceed 14 MiB
+    rng = np.random.default_rng(4)
+    catalog = 300
+    sequences = [clicks(f"s{i:04d}", list(rng.integers(0, catalog, size=6))) for i in range(1200)]
+    columns = expand_columns(sequences, loss_window=5, discount=0.0)
+    assert len(columns) == 6000
+    encoder = EncoderConfig(catalog_size=catalog, dim=8)
+    model, behavior = (SequenceModel.initialize(encoder, seed) for seed in (1, 2))
+    tracemalloc.start()
+    try:
+        report = evaluate_examples(model, columns, RunConfig(eval_ks="5,20"), behavior_model=behavior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.metrics["js_vs_behavior"].count == 6000
+    assert peak < 6 * 2**20
+
+
 # -- evaluate_split -------------------------------------------------------------
 
 
