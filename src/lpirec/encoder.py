@@ -146,7 +146,12 @@ def encode_backward(params: dict, cache: EncodeCache, dstate: np.ndarray, grads:
 
 
 class Adam:
-    """Adam with bias correction; operates in-place on a param dict."""
+    """Adam with bias correction; operates in-place on a param dict.
+
+    Each parameter keeps its two moments and one scratch array of two slots,
+    in which the step's terms and its bias-corrected update are formed, so a
+    step allocates no parameter-sized array.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -156,6 +161,7 @@ class Adam:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, np.ndarray] = {}
 
     def step(self, params: dict, grads: dict) -> None:
         for g in grads.values():
@@ -166,13 +172,16 @@ class Adam:
             if name not in self._m:
                 self._m[name] = np.zeros_like(params[name])
                 self._v[name] = np.zeros_like(params[name])
-            m = self._m[name]
-            v = self._v[name]
+                self._scratch[name] = np.empty((2,) + params[name].shape)
+            m, v, (update, root) = self._m[name], self._v[name], self._scratch[name]
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=update)
             v *= self.beta2
-            v += (1 - self.beta2) * g**2
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
+            v += np.multiply(np.square(g, out=update), 1 - self.beta2, out=update)
+            # lr * m_hat / (sqrt(v_hat) + eps), each operation as written
+            np.divide(m, 1 - self.beta1**self.t, out=update)
+            update *= self.lr
+            np.divide(v, 1 - self.beta2**self.t, out=root)
+            np.sqrt(root, out=root)
+            root += self.eps
+            params[name] -= np.divide(update, root, out=update)

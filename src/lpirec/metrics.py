@@ -172,7 +172,11 @@ def iar_at_1(model, heldout, imputation) -> float:
 
 
 def _divergences(
-    p: np.ndarray, q: np.ndarray, kinds: tuple[str, ...], first_context: int | None = None
+    p: np.ndarray,
+    q: np.ndarray,
+    kinds: tuple[str, ...],
+    first_context: int | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """kind -> per row i, KL(p_i | q_i) ("kl") or JS(p_i, q_i) ("js"), 0 log 0 = 0.
 
@@ -180,7 +184,8 @@ def _divergences(
     distribution is positive; without a zero entry (the usual softmax case)
     that is the plain log, and q covers p's support. KL needs that cover; a
     violation in row i names context ``first_context + i`` when it is given.
-    JS never raises. Neither input is written to.
+    JS never raises. Neither input is written to: log p, log q and the terms
+    go to the three arrays of p's shape in ``out`` (default: new arrays).
     """
     p, q = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (p, q))
     if p.shape != q.shape:
@@ -196,12 +201,13 @@ def _divergences(
                 f"{where}second distribution has zero mass at index {index} "
                 "inside the first distribution's support"
             )
-    if positive:
-        log_p, log_q = np.log(p), np.log(q)
-    else:
-        log_p, log_q = (np.log(x, out=np.zeros_like(x), where=x > 0) for x in (p, q))
+    log_p, log_q, terms = out if out is not None else (np.empty_like(p) for _ in range(3))
+    for x, log_x in ((p, log_p), (q, log_q)):
+        if not positive:
+            log_x.fill(0.0)
+        np.log(x, out=log_x, where=True if positive else x > 0)
     # one buffer holds the KL terms, then the midpoint m, then log m
-    terms = np.subtract(log_p, log_q)
+    np.subtract(log_p, log_q, out=terms)
     terms *= p
     kl = terms.sum(axis=1)
     m = np.add(p, q, out=terms)

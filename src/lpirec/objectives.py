@@ -35,7 +35,7 @@ import numpy as np
 from .data import ExampleColumns, RaggedContexts, TrainingExample, discounted_returns
 from .encoder import EncodeCache, pad_contexts
 from .estimators import SupportViolationError
-from .policy import SequenceModel, log_softmax
+from .policy import SequenceModel, Workspace, log_softmax, softmax
 
 OBJECTIVE_KINDS = ("ce", "reward_ce", "lpi", "ips_ce", "pg", "ips_pg", "sqn", "sac")
 TD_KINDS = frozenset({"sqn", "sac", "lpi"})
@@ -155,26 +155,47 @@ def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleCo
     return build_batch(examples, reward_to_go=rtg)
 
 
-def _behavior_probs(logging_policy, contexts: RaggedContexts, pad=None) -> np.ndarray:
+def _behavior_probs(
+    logging_policy, contexts: RaggedContexts, pad=None, out=None, scratch=None
+) -> np.ndarray:
     """(n, catalog) action probabilities of ``contexts`` under mu_hat.
 
     ``logging_policy`` is a SequenceModel, scored on ``pad(recency)`` at its
-    own recency (default: the contexts padded here), or a callable mapping a
-    sequence of contexts to that array.
+    own recency (default: the contexts padded here) and formed in ``out``
+    when that has its shape, or a callable mapping a sequence of contexts to
+    that array, which is returned as it is.
     """
-    if isinstance(logging_policy, SequenceModel):
-        recency = logging_policy.config.recency
-        return logging_policy.probs(contexts if pad is None else pad(recency))
-    return np.asarray(logging_policy(contexts), dtype=float)
+    if not isinstance(logging_policy, SequenceModel):
+        return np.asarray(logging_policy(contexts), dtype=float)
+    padded = contexts if pad is None else pad(logging_policy.config.recency)
+    if out is not None and out.shape[1] != logging_policy.config.catalog_size:
+        out = scratch = None  # prepare_step names the mismatch
+    logits = logging_policy.policy_logits_from(logging_policy.encode(padded), out=out)
+    return softmax(logits, out=logits, scratch=scratch)
 
 
 # -- per-step constants (the stop-gradient side) --------------------------------
 
 
-def _forward(model: SequenceModel, padded) -> tuple[EncodeCache, np.ndarray]:
-    """The model's encode of padded contexts and its policy log-probabilities."""
+def _step_arrays(workspace: Workspace | None, n: int) -> list:
+    """An n-row step's mu_hat probabilities, log-probabilities, Q and exps' scratch.
+
+    Without a workspace they are Nones: each array is allocated where it is formed.
+    """
+    return [None] * 4 if workspace is None else workspace.take(n, 4)
+
+
+def _forward(
+    model: SequenceModel, padded, out=None, scratch=None
+) -> tuple[EncodeCache, np.ndarray]:
+    """The model's encode of padded contexts and its policy log-probabilities.
+
+    The log-probabilities are formed in ``out``, their exps in ``scratch``
+    (default: new arrays).
+    """
     cache = model.encode(padded)
-    return cache, log_softmax(model.policy_logits_from(cache))
+    logits = model.policy_logits_from(cache, out=out)
+    return cache, log_softmax(logits, out=logits, scratch=scratch)
 
 
 @dataclass
@@ -183,6 +204,8 @@ class PreparedWeights:
 
     ``forward`` is the model's forward on the contexts, run for every kind
     (see _forward); it is valid only for the parameters prepare_step saw.
+    Prepared with a workspace, its log-probabilities live there and stay
+    valid only until the workspace's next use (the next prepare_step).
     """
 
     policy_weights: np.ndarray
@@ -191,14 +214,14 @@ class PreparedWeights:
 
 
 def _advantages(
-    model: SequenceModel, cache: EncodeCache, behavior: np.ndarray, actions: np.ndarray
+    model: SequenceModel, cache: EncodeCache, behavior: np.ndarray, actions: np.ndarray, out=None
 ) -> np.ndarray:
     """Per row, A(x, a) = Q(x, a) - sum_a' mu_hat(a'|x) Q(x, a') from the encoded contexts.
 
-    The baseline's product is formed in the Q array allocated here; ``behavior``
-    may be a caller's array and is only read.
+    The baseline's product is formed in the Q array, ``out`` or one allocated
+    here; ``behavior`` may be a caller's array and is only read.
     """
-    q = model.q_values_from(cache)
+    q = model.q_values_from(cache, out=out)
     taken = q[np.arange(len(actions)), actions]
     q *= behavior
     return taken - q.sum(axis=-1)
@@ -230,6 +253,7 @@ def prepare_step(
     config: ObjectiveConfig,
     logging_policy=None,
     target_model: SequenceModel | None = None,
+    workspace: Workspace | None = None,
 ) -> PreparedWeights:
     """Compute the step's constants from the current model state.
 
@@ -239,6 +263,12 @@ def prepare_step(
     this batch; the others never read it. ``target_model`` supplies TD target
     values when td_weight > 0. The contexts and next contexts are padded on
     first read, once per recency.
+
+    With a ``workspace`` the step's (n, catalog) arrays are taken from it:
+    mu_hat's probabilities, the model's log-probabilities, Q (for the
+    contexts, then for the next contexts) and the exps' scratch, which
+    evaluate_prepared later fills with the logit gradient. Without one they
+    are allocated here.
     """
     padding = {}
 
@@ -250,11 +280,12 @@ def prepare_step(
 
     n = len(batch)
     rows = np.arange(n)
+    mu_out, log_probs_out, q_out, scratch = _step_arrays(workspace, n)
 
     if config.kind in BEHAVIOR_KINDS:
         if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
-        behavior = _behavior_probs(logging_policy, batch.contexts, pad)
+        behavior = _behavior_probs(logging_policy, batch.contexts, pad, mu_out, scratch)
         if behavior.shape != (n, model.config.catalog_size):
             raise ValueError(
                 f"behavior estimate gives probabilities of shape {behavior.shape} for "
@@ -263,7 +294,7 @@ def prepare_step(
     else:
         behavior = None
 
-    cache, log_probs = _forward(model, pad(model.config.recency))
+    cache, log_probs = _forward(model, pad(model.config.recency), log_probs_out, scratch)
 
     if config.kind in ("ce", "sqn"):
         weights = np.ones(n)
@@ -288,7 +319,7 @@ def prepare_step(
     elif config.kind == "sac":
         weights = model.q_values_at(cache, batch.actions)
     elif config.kind == "lpi":
-        advantages = _advantages(model, cache, behavior, batch.actions)
+        advantages = _advantages(model, cache, behavior, batch.actions, q_out)
         weights = lpi_weight(advantages, config.beta, config.max_policy_weight)
     else:  # pragma: no cover - guarded by ObjectiveConfig
         raise AssertionError(config.kind)
@@ -297,7 +328,9 @@ def prepare_step(
     if config.td_weight > 0:
         if target_model is None:
             raise ValueError("td_weight > 0 requires a target model")
-        q_next_online = model.q_values_from(model.encode(pad(model.config.recency, True)))
+        q_next_online = model.q_values_from(
+            model.encode(pad(model.config.recency, True)), out=q_out
+        )
         best_next = q_next_online.argmax(axis=-1)
         bootstrap = target_model.q_values_at(
             target_model.encode(pad(target_model.config.recency, True)), best_next
@@ -329,6 +362,7 @@ def evaluate_prepared(
     prepared: PreparedWeights,
     compute_grads: bool = True,
     forward: tuple[EncodeCache, np.ndarray] | None = None,
+    workspace: Workspace | None = None,
 ) -> LossBatch:
     """Evaluate L = -(1/B) sum w_i log pi(a_i|x_i) + lambda * L_TD.
 
@@ -340,6 +374,10 @@ def evaluate_prepared(
     instead of running it again; pass ``prepared.forward`` only while the
     parameters are the ones prepare_step saw. Without it the forward runs
     fresh, so the loss follows the current parameters.
+
+    With the ``workspace`` prepare_step filled, the logit gradient is formed
+    in its exps' scratch, which the step no longer reads; without one it is
+    allocated here.
     """
     n = len(batch)
     if n == 0:
@@ -354,7 +392,7 @@ def evaluate_prepared(
     dlogits = None
     dq_at = None
     if compute_grads:
-        dlogits = np.exp(log_probs)
+        dlogits = np.exp(log_probs, out=_step_arrays(workspace, n)[3])
         dlogits *= weights[:, None]
         dlogits[rows, batch.actions] -= weights
         dlogits /= n

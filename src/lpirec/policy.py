@@ -42,17 +42,46 @@ class CheckpointTruncatedError(CheckpointError):
     """Checkpoint ends before all declared bytes."""
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """logits - max - log(sum(exp(logits - max))) per row, formed in one new array."""
+def log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """logits - max - log(sum(exp(logits - max))) per row.
+
+    Formed in ``out`` (default: a new array), which may be ``logits`` itself;
+    the exps go to ``scratch`` (default: a new array) of the same shape.
+    """
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted, out=scratch).sum(axis=-1, keepdims=True))
     return shifted
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    out = log_softmax(logits)
+def softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """exp(log_softmax(logits)), formed in ``out`` as :func:`log_softmax` forms it."""
+    out = log_softmax(logits, out, scratch)
     return np.exp(out, out=out)
+
+
+class Workspace:
+    """One float64 block that (rows, catalog) scoring arrays are carved from.
+
+    A fit or an evaluation call holds one and takes its step's or chunk's
+    arrays from it instead of allocating them, so its speed does not depend
+    on what the allocator did before. The block grows to the largest request;
+    every take reuses it, so an array is read only until the next take.
+    """
+
+    def __init__(self, catalog: int):
+        self.catalog = catalog
+        self._block = np.empty(0)
+
+    def take(self, rows: int, count: int) -> list[np.ndarray]:
+        """``count`` contiguous (rows, catalog) arrays with undefined contents."""
+        size = rows * self.catalog
+        if self._block.size < count * size:
+            self._block = np.empty(count * size)
+        return [
+            self._block[i * size : (i + 1) * size].reshape(rows, self.catalog)
+            for i in range(count)
+        ]
 
 
 def greedy_action(distribution: np.ndarray) -> int:
@@ -90,13 +119,15 @@ class SequenceModel:
             return contexts
         return pad_contexts(contexts, self.config.recency)
 
-    def policy_logits_from(self, cache: EncodeCache) -> np.ndarray:
-        logits = cache.state @ self.head_matrix().T
+    def policy_logits_from(self, cache: EncodeCache, out=None) -> np.ndarray:
+        """(rows, catalog) policy logits, formed in ``out`` when it is given."""
+        logits = np.matmul(cache.state, self.head_matrix().T, out=out)
         logits += self.params["head_b"]
         return logits
 
-    def q_values_from(self, cache: EncodeCache) -> np.ndarray:
-        q = cache.state @ self.params["q_W"].T
+    def q_values_from(self, cache: EncodeCache, out=None) -> np.ndarray:
+        """(rows, catalog) action values, formed in ``out`` when it is given."""
+        q = np.matmul(cache.state, self.params["q_W"].T, out=out)
         q += self.params["q_b"]
         return q
 

@@ -57,14 +57,13 @@ from .objectives import (
     evaluate_prepared,
     prepare_step,
 )
-from .policy import SequenceModel, load_checkpoint, log_softmax, save_checkpoint, softmax
+from .policy import SequenceModel, Workspace, load_checkpoint, log_softmax, save_checkpoint, softmax
 from .synth import ImputationModel, fit_weighted_mf, imputed_rewards, make_random_world
 
 LOG_SCHEMA_VERSION = 1
 _BEHAVIOR_SEED_OFFSET = 101
 _BATCH_SEED_OFFSET = 17
 _BREAKDOWN_K = 20
-_SCORE_CHUNK = 2048
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -93,14 +92,16 @@ def load_dataset(cfg: RunConfig) -> Dataset:
 
 
 def batched_policy_scores(model: SequenceModel, contexts) -> np.ndarray:
-    rows = []
-    for start in range(0, len(contexts), _SCORE_CHUNK):
-        rows.append(model.policy_logits(contexts[start : start + _SCORE_CHUNK]))
-    return np.concatenate(rows, axis=0)
+    """(n, catalog) policy logits, each chunk of :func:`metrics._chunk_plan` formed in place."""
+    scores = np.empty((len(contexts), model.config.catalog_size))
+    for rows, _ in _chunk_plan(len(contexts), None, 0)[1]:
+        model.policy_logits_from(model.encode(contexts[rows]), out=scores[rows])
+    return scores
 
 
 def batched_probs(model: SequenceModel, contexts) -> np.ndarray:
-    return softmax(batched_policy_scores(model, contexts))
+    scores = batched_policy_scores(model, contexts)
+    return softmax(scores, out=scores)
 
 
 # -- training -------------------------------------------------------------------
@@ -140,13 +141,22 @@ def report_selection_score(report: MetricsReport, r_p: float, r_c: float) -> flo
     return float(best.value) if best is not None else None
 
 
-def _validation_log_loss(model: SequenceModel, columns: ExampleColumns) -> float:
-    """Mean -log pi(a|x), gathered one _SCORE_CHUNK chunk of contexts at a time."""
+def _validation_log_loss(
+    model: SequenceModel, columns: ExampleColumns, workspace: Workspace | None = None
+) -> float:
+    """Mean -log pi(a|x), gathered in :func:`metrics._chunk_plan`'s chunks.
+
+    Each chunk's log-probabilities are formed in two arrays of ``workspace``
+    (default: one held for this call).
+    """
+    workspace = workspace or Workspace(model.config.catalog_size)
     logp = np.empty(len(columns))
-    for start in range(0, len(columns), _SCORE_CHUNK):
-        rows = slice(start, start + _SCORE_CHUNK)
-        chunk = log_softmax(model.policy_logits(columns.contexts[rows]))
-        logp[rows] = chunk[np.arange(len(chunk)), columns.actions[rows]]
+    for rows, _ in _chunk_plan(len(columns), None, 0)[1]:
+        cache = model.encode(columns.contexts[rows])
+        log_probs, scratch = workspace.take(len(cache.state), 2)
+        model.policy_logits_from(cache, out=log_probs)
+        log_softmax(log_probs, out=log_probs, scratch=scratch)
+        logp[rows] = log_probs[np.arange(len(log_probs)), columns.actions[rows]]
     return float(-logp.mean())
 
 
@@ -191,6 +201,8 @@ def train_model(
         lr=cfg.learning_rate, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps
     )
     target = model.copy() if objective.td_weight > 0 else None
+    # the steps and the validation passes fill one block, held for the fit
+    workspace = Workspace(encoder.catalog_size)
 
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_score = -np.inf
@@ -205,9 +217,9 @@ def train_model(
         for index in order:
             batch = build_batch(columns, rows=batch_rows[index])
             try:
-                prepared = prepare_step(model, batch, objective, behavior_model, target)
+                prepared = prepare_step(model, batch, objective, behavior_model, target, workspace)
                 result = evaluate_prepared(
-                    model, batch, objective, prepared, forward=prepared.forward
+                    model, batch, objective, prepared, forward=prepared.forward, workspace=workspace
                 )
                 if not np.isfinite(result.loss):
                     raise TrainingDivergedError("non-finite loss")
@@ -238,11 +250,11 @@ def train_model(
         score = None
         if len(val_columns):
             if select_by == "log_loss":
-                val_ll = _validation_log_loss(model, val_columns)
+                val_ll = _validation_log_loss(model, val_columns, workspace)
                 score = -val_ll
                 entry["val_log_loss"] = val_ll
             else:
-                report = evaluate_examples(model, val_columns, cfg)
+                report = evaluate_examples(model, val_columns, cfg, workspace=workspace)
                 entry["validation"] = report.to_json_dict()
                 score = report_selection_score(report, cfg.reward_purchase, cfg.reward_click)
                 if score is not None:
@@ -341,6 +353,7 @@ def evaluate_examples(
     user_index: dict[str, int] | None = None,
     sequence_lengths: dict[str, int] | None = None,
     metadata: dict[str, str] | None = None,
+    workspace: Workspace | None = None,
 ) -> MetricsReport:
     """Full metric report over examples, given as columns or as a list.
 
@@ -353,6 +366,10 @@ def evaluate_examples(
     walks: each chunk is padded and encoded once per recency, and its logits
     give the ranks, the greedy actions and, on the chunks the divergence cap
     covers, the model's side of both divergences.
+
+    Every chunk fills the same (chunk, catalog) arrays of ``workspace``
+    (default: one held for this call): the logits (later log p), and with a
+    behavior model p, q, the exps' scratch (later log q) and the KL terms.
     """
     examples = ExampleColumns.of(examples)
     if not len(examples):
@@ -364,18 +381,23 @@ def evaluate_examples(
     cap = cfg.divergence_cap if kinds else None
     covered, chunks = _chunk_plan(len(examples), cap, cfg.seed)
     divergences = {kind: np.empty(covered) for kind in kinds}
+    workspace = workspace or Workspace(model.config.catalog_size)
     for rows, first in chunks:
         batch = model.as_batch(contexts[rows])
-        logits = model.policy_logits_from(model.encode(batch))
+        logits, *buffers = workspace.take(len(batch.lengths), 5 if kinds else 1)
+        model.policy_logits_from(model.encode(batch), out=logits)
         ranks[rows] = ranks_from_scores(logits, actions[rows])
         greedy[rows] = logits.argmax(axis=1)
         if not kinds or first is None:
             continue
         if behavior_model.config.recency != model.config.recency:
             batch = behavior_model.as_batch(contexts[rows])
-        p = softmax(logits)
-        q = softmax(behavior_model.policy_logits_from(behavior_model.encode(batch)))
-        for kind, values in _divergences(p, q, kinds, first_context=first).items():
+        p, q, scratch, terms = buffers
+        softmax(logits, out=p, scratch=scratch)
+        behavior_model.policy_logits_from(behavior_model.encode(batch), out=q)
+        softmax(q, out=q, scratch=scratch)
+        logs = (logits, scratch, terms)
+        for kind, values in _divergences(p, q, kinds, first, logs).items():
             divergences[kind][first : first + len(values)] = values
     ks = cfg.eval_ks_list()
 

@@ -349,3 +349,45 @@ def test_non_finite_gradient_raises_training_diverged():
         Adam(lr=0.1).step(params, {"w": np.array([np.nan])})
     with pytest.raises(TrainingDivergedError):
         Adam(lr=0.1).step(params, {"w": np.array([np.inf])})
+
+
+def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written out with a new array per term, as the formulas read."""
+    state["t"] = state.get("t", 0) + 1
+    for name, g in grads.items():
+        m = state.setdefault(("m", name), np.zeros_like(params[name]))
+        v = state.setdefault(("v", name), np.zeros_like(params[name]))
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g**2
+        m_hat = m / (1 - beta1 ** state["t"])
+        v_hat = v / (1 - beta2 ** state["t"])
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("catalog", [300, 10_000])
+def test_adam_in_its_scratch_equals_the_written_out_formulas_bit_for_bit(catalog):
+    rng = np.random.default_rng(catalog)
+    params = init_params(EncoderConfig(catalog_size=catalog, dim=8), seed=5)
+    expected = {name: value.copy() for name, value in params.items()}
+    adam, state = Adam(lr=0.02), {}
+    for _ in range(60):
+        # gradients over eight orders of magnitude, fresh arrays every step
+        grads = {
+            name: rng.standard_normal(value.shape) * 10.0 ** rng.uniform(-6, 2)
+            for name, value in params.items()
+        }
+        held = {name: g.copy() for name, g in grads.items()}
+        tracemalloc.start()
+        try:
+            adam.step(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if adam.t > 1:  # the moments and the scratch exist from the first step on
+            assert peak < params["item_embeddings"].nbytes / 2
+        reference_adam_step(state, expected, grads, lr=0.02)
+        assert all(np.array_equal(grads[name], held[name]) for name in grads)
+    for name, value in expected.items():
+        assert np.array_equal(params[name], value), name

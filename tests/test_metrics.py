@@ -9,6 +9,7 @@ import pytest
 from lpirec.estimators import SupportViolationError, empirical_behavior_tabular
 from lpirec.metrics import (
     _DIVERGENCE_CHUNK,
+    _divergences,
     MetricsReport,
     ar_at_1,
     breakdown_report,
@@ -477,6 +478,23 @@ def test_a_chunk_holding_one_zero_gives_each_row_its_own_scalar_divergences():
     for kind, scalar in (("kl", kl_divergence), ("js", js_divergence)):
         per_row = np.array([scalar(p[i], q[i]) for i in range(n)])
         assert np.array_equal(rows[kind], per_row)
+
+
+def test_divergences_in_handed_buffers_equal_fresh_ones_whatever_the_buffers_held():
+    rng = np.random.default_rng(16)
+    n, k = 20, 9
+    plain = rng.dirichlet(np.ones(k), size=n), rng.dirichlet(np.ones(k), size=n)
+    sparse = sparse_distributions(rng, n, k), sparse_distributions(rng, n, k)
+    inside = np.where(sparse[0] > 0, sparse[1] + 0.05, sparse[1])
+    covering = sparse[0], inside / inside.sum(axis=1, keepdims=True)
+    # stale NaNs, as np.empty may hold, must not reach the zero entries' terms
+    buffers = tuple(np.full((n, k), np.nan) for _ in range(3))
+    for (p, q), kinds in ((sparse, ("js",)), (covering, ("kl", "js")), (plain, ("js", "kl"))):
+        held = p.copy(), q.copy()
+        filled = _divergences(p, q, kinds, out=buffers)
+        fresh = _divergences(p, q, kinds)
+        assert all(np.array_equal(filled[kind], fresh[kind]) for kind in kinds)
+        assert np.array_equal(p, held[0]) and np.array_equal(q, held[1])
 
 
 def test_kl_support_violation_past_the_first_chunk_names_the_global_context():

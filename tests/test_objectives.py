@@ -10,7 +10,7 @@ from lpirec.data import (
     discounted_returns,
     expand_columns,
 )
-from lpirec.encoder import EncoderConfig
+from lpirec.encoder import Adam, EncoderConfig
 from lpirec.objectives import (
     BEHAVIOR_KINDS,
     OBJECTIVE_KINDS,
@@ -32,7 +32,7 @@ from lpirec.objectives import (
     reward_weighted_ce,
     td_q_loss,
 )
-from lpirec.policy import SequenceModel, softmax
+from lpirec.policy import SequenceModel, Workspace, softmax
 
 
 def example(context, action, reward=1.0, terminal=False, seq="s", pos=0):
@@ -591,8 +591,42 @@ def test_a_step_only_reads_the_behavior_estimates_array(kind):
     kept = held.copy()
     batch = small_batch(catalog=catalog, n=4, seed=5)
     config = ObjectiveConfig(kind=kind, td_weight=1.0 if kind == "lpi" else 0.0, discount=0.5)
-    prepare_step(make_model(catalog), batch, config, lambda contexts: held, make_model(catalog))
-    assert np.array_equal(held, kept)
+    for workspace in (None, Workspace(catalog)):
+        prepare_step(
+            make_model(catalog), batch, config, lambda contexts: held, make_model(catalog),
+            workspace,
+        )
+        assert np.array_equal(held, kept)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_steps_in_a_workspace_equal_fresh_steps_bit_for_bit(kind):
+    # a smaller batch between two larger ones reads arrays carved over stale values
+    batches = [small_batch(catalog=7, n=n, seed=seed) for n, seed in ((9, 20), (5, 21), (9, 22))]
+    td_weight = 0.6 if kind in TD_KINDS else 0.0
+    cfg = ObjectiveConfig(kind=kind, beta=0.5, td_weight=td_weight, discount=0.8)
+    behavior = make_model(catalog=7, dim=5, seed=37)
+    target = make_model(catalog=7, dim=5, seed=38)
+    runs = []
+    for workspace in (None, Workspace(7)):
+        model, adam, steps = make_model(catalog=7, dim=5, seed=36), Adam(lr=0.05), []
+        for batch in batches:
+            prepared = prepare_step(model, batch, cfg, behavior, target, workspace)
+            out = evaluate_prepared(
+                model, batch, cfg, prepared, forward=prepared.forward, workspace=workspace
+            )
+            steps.append((out.loss, out.policy_term, out.td_term, out.weights, prepared.td_targets))
+            steps.append(out.gradients)
+            adam.step(model.params, out.gradients)
+        runs.append((steps, model.params))
+    (fresh, fresh_params), (reused, reused_params) = runs
+    for expected, got in zip(fresh, reused):
+        if isinstance(expected, dict):
+            assert expected.keys() == got.keys()
+            assert all(np.array_equal(expected[name], got[name]) for name in expected)
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+    assert all(np.array_equal(fresh_params[name], reused_params[name]) for name in fresh_params)
 
 
 def test_empty_batch_rejected():

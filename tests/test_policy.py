@@ -1,5 +1,6 @@
 """Policy/Q heads over the shared encoder, plus checkpoint persistence."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from lpirec.policy import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     SequenceModel,
+    Workspace,
     greedy_action,
     load_checkpoint,
     log_softmax,
@@ -62,6 +64,38 @@ def test_softmax_and_log_softmax_leave_their_logits_unchanged():
     assert np.array_equal(logits, held)
     assert not np.shares_memory(probs, logits) and not np.shares_memory(log_probs, logits)
     assert np.array_equal(probs, np.exp(log_probs))
+
+
+def test_softmax_and_log_softmax_fill_the_arrays_they_are_handed_as_fresh_ones():
+    logits = np.random.default_rng(3).standard_normal((6, 11)) * 4
+    out, scratch = np.full_like(logits, np.nan), np.full_like(logits, np.nan)
+    assert log_softmax(logits, out=out, scratch=scratch) is out
+    assert np.array_equal(out, log_softmax(logits))
+    in_place = logits.copy()
+    assert softmax(in_place, out=in_place, scratch=scratch) is in_place
+    assert np.array_equal(in_place, softmax(logits))
+
+
+def test_heads_fill_the_arrays_they_are_handed_as_fresh_ones():
+    model = make_model(seed=4)
+    cache = model.encode([(1, 2), (3,), ()])
+    for head in (model.policy_logits_from, model.q_values_from):
+        out = np.full((3, 7), np.nan)
+        assert head(cache, out=out) is out
+        assert np.array_equal(out, head(cache))
+
+
+def test_a_workspace_carves_disjoint_arrays_from_one_reused_block():
+    workspace = Workspace(catalog=5)
+    first = workspace.take(4, 3)
+    assert [a.shape for a in first] == [(4, 5)] * 3
+    assert all(a.flags.c_contiguous for a in first)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(first, 2))
+    # a smaller request reuses the block; a larger one grows it once
+    assert np.shares_memory(workspace.take(2, 2)[1], first[0])
+    grown = workspace.take(8, 3)
+    assert not np.shares_memory(grown[0], first[0])
+    assert np.shares_memory(workspace.take(4, 3)[0], grown[0])
 
 
 # -- greedy action ---------------------------------------------------------------

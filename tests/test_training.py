@@ -25,9 +25,11 @@ from lpirec.data import (
 )
 from lpirec.encoder import EncoderConfig, pad_contexts
 from lpirec.metrics import (
+    _DIVERGENCE_CHUNK,
     MetricsReport,
     MetricSummary,
     breakdown_report,
+    divergence_rows,
     mean_divergence,
     ndcg_samples,
 )
@@ -42,6 +44,8 @@ from lpirec.synth import (
     world_policy_value,
 )
 from lpirec.training import (
+    _validation_log_loss,
+    batched_policy_scores,
     batched_probs,
     evaluate_examples,
     evaluate_split,
@@ -472,9 +476,9 @@ class PaddingSpy(SequenceModel):
         super().__init__(config, params)
         self.scored = []
 
-    def probs(self, contexts):
+    def encode(self, contexts):
         self.scored.append(self.as_batch(contexts))
-        return super().probs(contexts)
+        return super().encode(contexts)
 
 
 def spy_behavior(dataset):
@@ -925,9 +929,9 @@ class CountingModel(SequenceModel):
 
     scored = 0
 
-    def policy_logits_from(self, cache):
+    def policy_logits_from(self, cache, out=None):
         self.scored += len(cache.state)
-        return super().policy_logits_from(cache)
+        return super().policy_logits_from(cache, out)
 
 
 def test_evaluation_scores_the_behavior_model_once_and_the_model_once():
@@ -993,6 +997,62 @@ def test_an_evaluation_holds_a_few_small_chunks_at_a_time():
         tracemalloc.stop()
     assert report.metrics["js_vs_behavior"].count == 6000
     assert peak < 6 * 2**20
+
+
+class EncodeSizes(SequenceModel):
+    """Records how many contexts each encode takes."""
+
+    def __init__(self, config, params):
+        super().__init__(config, params)
+        self.rows = []
+
+    def encode(self, contexts):
+        cache = super().encode(contexts)
+        self.rows.append(len(cache.state))
+        return cache
+
+
+def test_no_scoring_pass_encodes_more_than_one_chunk_of_contexts():
+    columns = expand_columns(mixed_sequences(400, 9, seed=3), loss_window=8, discount=0.0)
+    n = len(columns)
+    assert n > 2 * _DIVERGENCE_CHUNK
+    encoder = EncoderConfig(catalog_size=9, dim=4)
+    passes = {
+        "validation log-loss": lambda m, b: _validation_log_loss(m, columns),
+        "batched scores": lambda m, b: batched_policy_scores(m, list(columns.contexts)),
+        "evaluation": lambda m, b: evaluate_examples(m, columns, RunConfig(), behavior_model=b),
+        "divergences": lambda m, b: divergence_rows(m, b, columns.contexts, cap=None),
+    }
+    for name, scoring in passes.items():
+        model, behavior = (EncodeSizes(encoder, SequenceModel.initialize(encoder, s).params)
+                           for s in (1, 2))
+        scoring(model, behavior)
+        assert max(model.rows) <= _DIVERGENCE_CHUNK and sum(model.rows) == n, name
+
+
+def test_the_validation_log_loss_holds_one_chunks_gather_of_long_contexts():
+    # 3,000 contexts of 40-49 items at dim 32: a 2,048-row gather alone is 25.7 MB
+    rng = np.random.default_rng(17)
+    catalog = 400
+    sequences = [clicks(f"s{i:03d}", list(rng.integers(0, catalog, size=50))) for i in range(300)]
+    columns = expand_columns(sequences, loss_window=10, discount=0.0)
+    assert len(columns) == 3000 and columns.contexts.lengths.min() == 40
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=catalog, dim=32), seed=1)
+    tracemalloc.start()
+    try:
+        loss = _validation_log_loss(model, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss)
+    assert peak < 8 * 10**6
+
+
+def test_batched_scores_of_no_contexts_are_an_empty_catalog_wide_array():
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=7, dim=4), seed=1)
+    assert model.policy_logits([]).shape == (0, 7)
+    assert batched_policy_scores(model, []).shape == (0, 7)
+    assert batched_probs(model, []).shape == (0, 7)
 
 
 # -- evaluate_split -------------------------------------------------------------
