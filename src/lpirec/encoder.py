@@ -13,6 +13,7 @@ pools to the zero vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,25 @@ class EncoderConfig:
 
 @dataclass
 class PaddedBatch:
-    """Contexts padded to a rectangle; weights are pre-normalized per row."""
+    """Contexts padded to a rectangle; weights are pre-normalized per row.
+
+    What encoding derives from the padding alone is computed on first use
+    and shared by every encode of the batch.
+    """
 
     indices: np.ndarray  # (B, T) int64, zero-padded
     weights: np.ndarray  # (B, T) float64, rows sum to 1 (or 0 if empty)
     lengths: np.ndarray  # (B,) int64
+
+    @cached_property
+    def item_range(self) -> tuple[int, int]:
+        """The smallest and largest index, 0 (the padding) included."""
+        return int(self.indices.min(initial=0)), int(self.indices.max(initial=0))
+
+    @cached_property
+    def groups(self) -> list[tuple]:
+        """``(rows, width)`` pairs that cover every row once (_row_groups)."""
+        return _row_groups(self.lengths, self.indices.shape[1])
 
 
 @dataclass
@@ -57,11 +72,52 @@ class EncodeCache:
     state: np.ndarray  # (B, d)
 
 
+# A batch whose widest context is at least twice this is pooled in groups
+_MIN_GROUP_WIDTH = 8
+
+
+def _row_groups(lengths: np.ndarray, width: int) -> list[tuple]:
+    """Rows grouped by length, each group with the width that holds its rows.
+
+    Rows are sorted by length (stably). The first group holds the rows longer
+    than half of ``width`` (the batch's), each next group halves the width,
+    and the last, the first narrower than twice _MIN_GROUP_WIDTH, holds every
+    shorter row, empty ones included. One row, or a batch narrower than that,
+    is one group, ``(slice(None), width)``.
+    """
+    if lengths.size < 2 or width < 2 * _MIN_GROUP_WIDTH:
+        return [(slice(None), width)]
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    groups, stop = [], lengths.size
+    while stop:
+        half = width // 2
+        start = np.searchsorted(ordered, half, side="right") if half >= _MIN_GROUP_WIDTH else 0
+        if start < stop:
+            groups.append((order[start:stop], width))
+        stop, width = start, half
+    return groups
+
+
+def _recency_weights(lengths: np.ndarray, width: int, recency: float) -> tuple:
+    """Normalized recency weights and the filled-cell mask, one row per length."""
+    positions = np.arange(width)
+    column = lengths[:, None]
+    mask = positions < column
+    exponent = np.where(mask, column - 1 - positions, 0)
+    weights = np.where(mask, (float(recency) ** positions)[exponent], 0.0)
+    norm = weights.sum(axis=1, keepdims=True)
+    np.divide(weights, norm, out=weights, where=norm > 0)
+    return weights, mask
+
+
 def pad_contexts(contexts, recency: float) -> PaddedBatch:
     """Pad ragged contexts and attach normalized recency weights.
 
     ``contexts`` is a list of item sequences or a RaggedContexts view; a
-    view is gathered in one step.
+    view is gathered in one step. A row's weights depend only on its length
+    and the batch's width, so a batch with more rows than lengths evaluates
+    the formula once per length and gathers each row by its length.
     """
     ragged = isinstance(contexts, RaggedContexts)
     if ragged:
@@ -69,16 +125,14 @@ def pad_contexts(contexts, recency: float) -> PaddedBatch:
     else:
         lengths = np.array([len(c) for c in contexts], dtype=np.int64)
     t_max = max(1, int(lengths.max(initial=0)))
-    positions = np.arange(t_max)
-    column = lengths[:, None]
-    mask = positions < column
-    exponent = np.where(mask, column - 1 - positions, 0)
-    weights = np.where(mask, (float(recency) ** positions)[exponent], 0.0)
-    norm = weights.sum(axis=1, keepdims=True)
-    np.divide(weights, norm, out=weights, where=norm > 0)
+    if lengths.size > t_max + 1:
+        weights, mask = _recency_weights(np.arange(t_max + 1), t_max, recency)
+        weights, mask = weights.take(lengths, axis=0), mask.take(lengths, axis=0)
+    else:
+        weights, mask = _recency_weights(lengths, t_max, recency)
     if ragged:
-        cells = contexts.starts[:, None] + positions
-        indices = np.where(mask, contexts.items.take(cells, mode="clip"), 0)
+        indices = contexts.items.take(contexts.starts[:, None] + np.arange(t_max), mode="clip")
+        indices *= mask
     else:
         indices = np.zeros((len(contexts), t_max), dtype=np.int64)
         for i, ctx in enumerate(contexts):
@@ -105,15 +159,27 @@ def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+def _pool(table: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return np.einsum("btd,bt->bd", table.take(indices, axis=0), weights)
+
+
 def encode(params: dict, batch: PaddedBatch) -> EncodeCache:
-    """Forward pass over a padded batch."""
-    catalog = params["item_embeddings"].shape[0]
-    if batch.indices.size and (
-        batch.indices.min() < 0 or batch.indices.max() >= catalog
-    ):
-        raise ValueError(f"context item out of range [0, {catalog})")
-    emb = params["item_embeddings"][batch.indices]  # (B, T, d)
-    pool = np.einsum("btd,bt->bd", emb, batch.weights)
+    """Forward pass over a padded batch.
+
+    Each of ``batch.groups`` is pooled at its own width. ``einsum`` sums
+    a row over its cells in order and a padded cell adds an exact zero, so
+    the pool equals one pass over the whole rectangle bit for bit.
+    """
+    table = params["item_embeddings"]
+    low, high = batch.item_range
+    if low < 0 or high >= table.shape[0]:
+        raise ValueError(f"context item out of range [0, {table.shape[0]})")
+    if len(batch.groups) == 1:
+        pool = _pool(table, batch.indices, batch.weights)
+    else:
+        pool = np.empty((batch.lengths.size, table.shape[1]))
+        for rows, width in batch.groups:
+            pool[rows] = _pool(table, batch.indices[rows, :width], batch.weights[rows, :width])
     pre = pool @ params["W"].T + params["b"]
     state = np.tanh(pre)
     return EncodeCache(batch=batch, pool=pool, state=state)
@@ -122,7 +188,8 @@ def encode(params: dict, batch: PaddedBatch) -> EncodeCache:
 def encode_backward(params: dict, cache: EncodeCache, dstate: np.ndarray, grads: dict) -> None:
     """Accumulate encoder gradients into ``grads`` given dLoss/dstate.
 
-    The embedding gradient is one ``np.bincount`` over the filled cells only.
+    The embedding gradient is one ``np.bincount`` over the filled cells only,
+    whose rows are each row's upstream gradient repeated over its length.
     The gradient already in ``grads`` (the head's, with tied weights) is put
     first in every bin and the cells follow in row-major order, so each entry
     is summed in the order ``np.add.at`` would use, bit for bit.
@@ -133,11 +200,12 @@ def encode_backward(params: dict, cache: EncodeCache, dstate: np.ndarray, grads:
     dpool = dpre @ params["W"]  # (B, d)
     batch = cache.batch
     filled = np.arange(batch.indices.shape[1]) < batch.lengths[:, None]
-    rows = np.nonzero(filled)[0]
     catalog, d = params["item_embeddings"].shape
-    terms = np.empty((catalog + rows.size, d))
+    terms = np.empty((catalog + int(batch.lengths.sum()), d))
     terms[:catalog] = grads.get("item_embeddings", 0.0)
-    np.multiply(dpool[rows], batch.weights[filled][:, None], out=terms[catalog:])
+    np.einsum(
+        "nd,n->nd", np.repeat(dpool, batch.lengths, axis=0), batch.weights[filled], out=terms[catalog:]
+    )
     bins = np.concatenate([np.arange(catalog), batch.indices[filled]])
     flat = (bins[:, None] * d + np.arange(d)).ravel()
     grads["item_embeddings"] = np.bincount(

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpirec import encoder
 from lpirec.data import RaggedContexts
 from lpirec.encoder import (
     Adam,
@@ -71,6 +72,35 @@ def test_pad_weights_are_normalized_recency_powers():
             want[n] /= want[n].sum()
         for padded in (pad_contexts(contexts, recency), pad_contexts(view, recency)):
             np.testing.assert_array_equal(padded.weights, want)
+
+
+def per_row_weights(lengths, recency):
+    """The weight formula evaluated on every row of the batch from its own length."""
+    positions = np.arange(max(1, int(lengths.max(initial=0))))
+    column = lengths[:, None]
+    mask = positions < column
+    exponent = np.where(mask, column - 1 - positions, 0)
+    weights = np.where(mask, (float(recency) ** positions)[exponent], 0.0)
+    norm = weights.sum(axis=1, keepdims=True)
+    np.divide(weights, norm, out=weights, where=norm > 0)
+    return weights
+
+
+@pytest.mark.parametrize("recency", [0.3, 0.8, 1.0])
+def test_weights_evaluated_per_length_equal_the_per_row_formula(recency):
+    # pairwise summation groups a row's sum by the batch's width from 8 cells
+    # on, so every width is tried, with more and with fewer rows than lengths
+    rng = np.random.default_rng(int(recency * 10))
+    items = tuple(range(60))
+    for width in range(1, 61):
+        for rows in (1, 2, width + 1, width + 2, 3 * width + 5):
+            lengths = rng.integers(0, width + 1, size=rows)
+            lengths[0] = width
+            lengths[1 : rows // 4 + 1] = 0
+            contexts = [items[:n] for n in lengths]
+            want = per_row_weights(lengths, recency)
+            for padded in (pad_contexts(contexts, recency), pad_contexts(RaggedContexts.of(contexts), recency)):
+                assert np.array_equal(padded.weights, want), (width, rows)
 
 
 def test_pad_handles_ragged_and_empty_rows():
@@ -154,6 +184,58 @@ def test_states_lie_strictly_inside_unit_cube():
     assert np.all(state > -1.0) and np.all(state < 1.0)
 
 
+def one_group(lengths, width):
+    return [(slice(None), width)]
+
+
+def test_grouped_pooling_equals_one_group_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(4)
+    cfg, params = small_params(catalog=50, dim=6, seed=1)
+    cases = []
+    for width in (16, 17, 31, 49, 64, 130):
+        lengths = rng.integers(0, width + 1, size=200)
+        lengths[0], lengths[1:6] = width, 0
+        cases.append([tuple(rng.integers(0, 50, size=n)) for n in lengths])
+    cases.append([tuple(rng.integers(0, 50, size=40)) for _ in range(30)])  # one length
+    cases.append([()] * 5 + [tuple(range(20))])  # empty rows and one context
+    for recency in (0.5, 0.9):
+        grouped = []
+        for contexts in cases:
+            batch = pad_contexts(RaggedContexts.of(contexts), recency)
+            covered = np.concatenate([np.arange(len(contexts))[rows] for rows, _ in batch.groups])
+            assert np.array_equal(np.sort(covered), np.arange(len(contexts)))
+            for rows, width in batch.groups:
+                assert batch.lengths[rows].max(initial=0) <= width
+            grouped.append(encode(params, batch))
+        assert all(len(cache.batch.groups) > 1 for cache in grouped[:6])
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder, "_row_groups", one_group)
+            single = [encode(params, pad_contexts(RaggedContexts.of(c), recency)) for c in cases]
+        for got, want in zip(grouped, single):
+            assert len(want.batch.groups) == 1
+            np.testing.assert_array_equal(got.pool, want.pool)
+            np.testing.assert_array_equal(got.state, want.state)
+
+
+def test_a_long_tailed_batch_gathers_far_less_than_its_rectangle():
+    # one 200-item context pads 255 short ones to 200 cells each; grouped
+    # pooling gathers the short rows at their own width
+    rng = np.random.default_rng(3)
+    catalog, dim = 400, 32
+    contexts = [tuple(rng.integers(0, catalog, size=rng.integers(1, 5))) for _ in range(255)]
+    contexts.append(tuple(rng.integers(0, catalog, size=200)))
+    params = init_params(EncoderConfig(catalog_size=catalog, dim=dim), seed=0)
+    batch = pad_contexts(RaggedContexts.of(contexts), 0.8)
+    assert batch.indices.shape == (256, 200)
+    tracemalloc.start()
+    try:
+        encode(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 200 * dim * 8 / 2, f"peak {peak} bytes"
+
+
 # -- backward ----------------------------------------------------------------
 
 
@@ -219,10 +301,10 @@ def add_at_embedding_gradient(params, cache, dstate, seed=None):
     return demb
 
 
-def ragged_contexts(rng, n, catalog, max_len):
-    # a small catalog repeats items within and across contexts; one is empty
+def ragged_contexts(rng, n, catalog, max_len, empty=1):
+    # a small catalog repeats items within and across contexts; some are empty
     contexts = [tuple(rng.integers(0, catalog, size=rng.integers(1, max_len + 1))) for _ in range(n)]
-    contexts[n // 2] = ()
+    contexts[n // 2 : n // 2 + empty] = [()] * empty
     return contexts
 
 
@@ -231,14 +313,16 @@ def test_embedding_gradient_is_bit_identical_to_add_at(tie_weights):
     rng = np.random.default_rng(5)
     cfg = EncoderConfig(catalog_size=7, dim=5, recency=0.9, tie_weights=tie_weights)
     model = SequenceModel.initialize(cfg, seed=3)
-    cache = model.encode(ragged_contexts(rng, 40, cfg.catalog_size, 30))
-    dlogits = rng.standard_normal((40, cfg.catalog_size))
-    grads = model.backward(cache, dlogits=dlogits)
-    # tied weights seed the embedding gradient with the head's; untied leave it empty
-    head = dlogits.T @ cache.state if tie_weights else None
-    dstate = dlogits @ model.head_matrix()
-    expected = add_at_embedding_gradient(model.params, cache, dstate, seed=head)
-    np.testing.assert_array_equal(grads["item_embeddings"], expected)
+    # short, long and grouped widths; the last batch has nine empty rows
+    for max_len, empty in ((6, 1), (30, 1), (70, 9)):
+        cache = model.encode(ragged_contexts(rng, 40, cfg.catalog_size, max_len, empty))
+        dlogits = rng.standard_normal((40, cfg.catalog_size))
+        grads = model.backward(cache, dlogits=dlogits)
+        # tied weights seed the embedding gradient with the head's; untied leave it empty
+        head = dlogits.T @ cache.state if tie_weights else None
+        dstate = dlogits @ model.head_matrix()
+        expected = add_at_embedding_gradient(model.params, cache, dstate, seed=head)
+        np.testing.assert_array_equal(grads["item_embeddings"], expected)
 
 
 def test_accumulating_calls_stay_bit_identical_to_add_at():

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lpirec import objectives, training
+from lpirec import encoder, objectives, training
 from lpirec.config import RunConfig, load_config
 from lpirec.data import (
     Dataset,
@@ -585,6 +585,32 @@ def test_a_ce_fit_holds_one_steps_padding_not_the_whole_runs():
     finally:
         tracemalloc.stop()
     assert peak < all_padding / 2
+
+
+def test_grouped_pooling_leaves_a_long_context_fit_bit_identical(monkeypatch):
+    rng = np.random.default_rng(6)
+    rows = [list(rng.integers(0, 30, size=rng.integers(2, 70))) for _ in range(80)]
+    dataset = dataset_of(rows, catalog=30, n_validation=8)
+    cfg = RunConfig(
+        objective="lpi", td_weight=1.0, discount=0.5, batch_size=64, epochs=2, behavior_epochs=1,
+        dim=8, learning_rate=0.05, behavior_learning_rate=0.05, seed=5,
+    )
+    group_counts = []
+    row_groups = encoder._row_groups
+
+    def counted(lengths, width):
+        groups = row_groups(lengths, width)
+        group_counts.append(len(groups))
+        return groups
+
+    monkeypatch.setattr(encoder, "_row_groups", counted)
+    grouped = train_model(dataset, cfg)
+    assert max(group_counts) > 2  # the fit did pool in groups
+    monkeypatch.setattr(encoder, "_row_groups", lambda lengths, width: [(slice(None), width)])
+    single = train_model(dataset, cfg)
+    assert grouped.log == single.log
+    for name, value in grouped.model.params.items():
+        assert np.array_equal(value, single.model.params[name]), name
 
 
 def test_a_step_pads_only_what_it_reads(monkeypatch):
