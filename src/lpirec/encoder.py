@@ -42,7 +42,7 @@ class EncoderConfig:
 
 @dataclass
 class PaddedBatch:
-    """Contexts padded to a rectangle; weights are pre-normalized per row.
+    """Contexts padded to a rectangle; weights are pre-normalized per row at ``recency``.
 
     What encoding derives from the padding alone is computed on first use
     and shared by every encode of the batch.
@@ -51,6 +51,14 @@ class PaddedBatch:
     indices: np.ndarray  # (B, T) int64, zero-padded
     weights: np.ndarray  # (B, T) float64, rows sum to 1 (or 0 if empty)
     lengths: np.ndarray  # (B,) int64
+    recency: float
+
+    def at(self, recency: float) -> PaddedBatch:
+        """This batch at ``recency``: itself, or its indices and lengths with fresh weights."""
+        if recency == self.recency:
+            return self
+        weights, _ = _recency_weights(self.lengths, self.indices.shape[1], recency)
+        return PaddedBatch(self.indices, weights, self.lengths, recency)
 
     @cached_property
     def item_range(self) -> tuple[int, int]:
@@ -100,7 +108,13 @@ def _row_groups(lengths: np.ndarray, width: int) -> list[tuple]:
 
 
 def _recency_weights(lengths: np.ndarray, width: int, recency: float) -> tuple:
-    """Normalized recency weights and the filled-cell mask, one row per length."""
+    """Normalized recency weights and the filled-cell mask, one row per length.
+
+    With more rows than lengths (0 to ``width``), each length's row is formed once and gathered.
+    """
+    if lengths.size > width + 1:
+        weights, mask = _recency_weights(np.arange(width + 1), width, recency)
+        return weights.take(lengths, axis=0), mask.take(lengths, axis=0)
     positions = np.arange(width)
     column = lengths[:, None]
     mask = positions < column
@@ -112,12 +126,10 @@ def _recency_weights(lengths: np.ndarray, width: int, recency: float) -> tuple:
 
 
 def pad_contexts(contexts, recency: float) -> PaddedBatch:
-    """Pad ragged contexts and attach normalized recency weights.
+    """Pad ragged contexts and attach normalized recency weights (_recency_weights).
 
     ``contexts`` is a list of item sequences or a RaggedContexts view; a
-    view is gathered in one step. A row's weights depend only on its length
-    and the batch's width, so a batch with more rows than lengths evaluates
-    the formula once per length and gathers each row by its length.
+    view is gathered in one step.
     """
     ragged = isinstance(contexts, RaggedContexts)
     if ragged:
@@ -125,11 +137,7 @@ def pad_contexts(contexts, recency: float) -> PaddedBatch:
     else:
         lengths = np.array([len(c) for c in contexts], dtype=np.int64)
     t_max = max(1, int(lengths.max(initial=0)))
-    if lengths.size > t_max + 1:
-        weights, mask = _recency_weights(np.arange(t_max + 1), t_max, recency)
-        weights, mask = weights.take(lengths, axis=0), mask.take(lengths, axis=0)
-    else:
-        weights, mask = _recency_weights(lengths, t_max, recency)
+    weights, mask = _recency_weights(lengths, t_max, recency)
     if ragged:
         indices = contexts.items.take(contexts.starts[:, None] + np.arange(t_max), mode="clip")
         indices *= mask
@@ -138,7 +146,7 @@ def pad_contexts(contexts, recency: float) -> PaddedBatch:
         for i, ctx in enumerate(contexts):
             if len(ctx):
                 indices[i, : len(ctx)] = ctx
-    return PaddedBatch(indices=indices, weights=weights, lengths=lengths)
+    return PaddedBatch(indices=indices, weights=weights, lengths=lengths, recency=recency)
 
 
 def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:

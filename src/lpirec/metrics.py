@@ -101,11 +101,13 @@ def rank_from_scores(scores: np.ndarray, target: int) -> int:
 
 
 def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """rank_from_scores of each row's target; a non-finite target score is rejected."""
+    """rank_from_scores per row; a target out of range or with a non-finite score is rejected."""
     scores = np.asarray(scores, dtype=float)
     targets = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(len(targets))
-    t = scores[rows, targets]
+    bad = np.flatnonzero((targets < 0) | (targets >= scores.shape[1]))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: target {targets[bad[0]]} outside [0, {scores.shape[1]})")
+    t = scores[np.arange(len(targets)), targets]
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise ValueError(f"row {bad[0]}: target score {t[bad[0]]} is not finite")

@@ -22,7 +22,8 @@ Weight choices by kind:
              A(x, a) = Q(x, a) - sum_a' mu(a'|x) Q(x, a')
 
 The two-phase API (prepare_step / evaluate_prepared) exposes the stop
-gradient explicitly; the named losses below are one-shot wrappers over it.
+gradient explicitly; composite_loss runs both for any kind in one call, and
+td_q_loss the TD term alone.
 """
 
 from __future__ import annotations
@@ -156,22 +157,30 @@ def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleCo
 
 
 def _behavior_probs(
-    logging_policy, contexts: RaggedContexts, pad=None, out=None, scratch=None
+    logging_policy, contexts: RaggedContexts, padded, catalog: int, out=None, scratch=None
 ) -> np.ndarray:
-    """(n, catalog) action probabilities of ``contexts`` under mu_hat.
+    """(n, catalog) action probabilities of ``contexts`` under mu_hat: its one reader.
 
-    ``logging_policy`` is a SequenceModel, scored on ``pad(recency)`` at its
-    own recency (default: the contexts padded here) and formed in ``out``
-    when that has its shape, or a callable mapping a sequence of contexts to
-    that array, which is returned as it is.
+    ``logging_policy`` is a SequenceModel, scored on ``padded`` (the contexts
+    padded at any recency) and formed in ``out``, or a callable mapping a
+    sequence of contexts to that array, returned as it is. Another shape is
+    rejected, a model's before it is scored.
     """
-    if not isinstance(logging_policy, SequenceModel):
-        return np.asarray(logging_policy(contexts), dtype=float)
-    padded = contexts if pad is None else pad(logging_policy.config.recency)
-    if out is not None and out.shape[1] != logging_policy.config.catalog_size:
-        out = scratch = None  # prepare_step names the mismatch
-    logits = logging_policy.policy_logits_from(logging_policy.encode(padded), out=out)
-    return softmax(logits, out=logits, scratch=scratch)
+    n = len(contexts)
+    if isinstance(logging_policy, SequenceModel):
+        probs, shape = None, (n, logging_policy.config.catalog_size)
+    else:
+        probs = np.asarray(logging_policy(contexts), dtype=float)
+        shape = probs.shape
+    if shape != (n, catalog):
+        raise ValueError(
+            f"behavior estimate gives probabilities of shape {shape} for "
+            f"{n} contexts over a catalog of {catalog}"
+        )
+    if probs is None:
+        logits = logging_policy.policy_logits_from(logging_policy.encode(padded), out=out)
+        probs = softmax(logits, out=logits, scratch=scratch)
+    return probs
 
 
 # -- per-step constants (the stop-gradient side) --------------------------------
@@ -234,8 +243,9 @@ def advantage_from_q(model: SequenceModel, logging_policy, context, action: int)
     result as a constant during differentiation.
     """
     contexts = RaggedContexts.of([tuple(context)])
-    mu = _behavior_probs(logging_policy, contexts)
-    return float(_advantages(model, model.encode(contexts), mu, np.array([action]))[0])
+    padded = model.as_batch(contexts)
+    mu = _behavior_probs(logging_policy, contexts, padded, model.config.catalog_size)
+    return float(_advantages(model, model.encode(padded), mu, np.array([action]))[0])
 
 
 def lpi_weight(advantage, beta: float, cap: float = DEFAULT_WEIGHT_CAP):
@@ -261,8 +271,10 @@ def prepare_step(
     callable mapping a sequence of contexts to an (n, catalog) action
     probability array. Kinds in BEHAVIOR_KINDS require it and score it on
     this batch; the others never read it. ``target_model`` supplies TD target
-    values when td_weight > 0. The contexts and next contexts are padded on
-    first read, once per recency.
+    values when td_weight > 0. The contexts are padded once at the model's
+    recency, and the next contexts once for the TD targets; mu_hat and the
+    target read the same batches, re-weighted at their own recency.
+    An action outside the model's catalog is rejected, naming its row.
 
     With a ``workspace`` the step's (n, catalog) arrays are taken from it:
     mu_hat's probabilities, the model's log-probabilities, Q (for the
@@ -270,31 +282,23 @@ def prepare_step(
     evaluate_prepared later fills with the logit gradient. Without one they
     are allocated here.
     """
-    padding = {}
-
-    def pad(recency: float, following: bool = False):
-        if (recency, following) not in padding:
-            contexts = batch.next_contexts if following else batch.contexts
-            padding[recency, following] = pad_contexts(contexts, recency)
-        return padding[recency, following]
-
-    n = len(batch)
+    n, catalog, recency = len(batch), model.config.catalog_size, model.config.recency
+    bad = np.flatnonzero((batch.actions < 0) | (batch.actions >= catalog))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"batch row {i}: action {batch.actions[i]} outside [0, {catalog})")
     rows = np.arange(n)
     mu_out, log_probs_out, q_out, scratch = _step_arrays(workspace, n)
+    padded = pad_contexts(batch.contexts, recency)
 
     if config.kind in BEHAVIOR_KINDS:
         if logging_policy is None:
             raise ValueError(f"objective {config.kind!r} needs a behavior policy estimate")
-        behavior = _behavior_probs(logging_policy, batch.contexts, pad, mu_out, scratch)
-        if behavior.shape != (n, model.config.catalog_size):
-            raise ValueError(
-                f"behavior estimate gives probabilities of shape {behavior.shape} for "
-                f"{n} contexts over a catalog of {model.config.catalog_size}"
-            )
+        behavior = _behavior_probs(logging_policy, batch.contexts, padded, catalog, mu_out, scratch)
     else:
         behavior = None
 
-    cache, log_probs = _forward(model, pad(model.config.recency), log_probs_out, scratch)
+    cache, log_probs = _forward(model, padded, log_probs_out, scratch)
 
     if config.kind in ("ce", "sqn"):
         weights = np.ones(n)
@@ -328,13 +332,9 @@ def prepare_step(
     if config.td_weight > 0:
         if target_model is None:
             raise ValueError("td_weight > 0 requires a target model")
-        q_next_online = model.q_values_from(
-            model.encode(pad(model.config.recency, True)), out=q_out
-        )
-        best_next = q_next_online.argmax(axis=-1)
-        bootstrap = target_model.q_values_at(
-            target_model.encode(pad(target_model.config.recency, True)), best_next
-        )
+        following = pad_contexts(batch.next_contexts, recency)
+        best_next = model.q_values_from(model.encode(following), out=q_out).argmax(axis=-1)
+        bootstrap = target_model.q_values_at(target_model.encode(following), best_next)
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
         )
@@ -425,7 +425,7 @@ def composite_loss(
     target_model: SequenceModel | None = None,
     compute_grads: bool = True,
 ) -> LossBatch:
-    """One gradient step's loss for any objective kind.
+    """One gradient step's loss for any objective kind: the package's one-shot loss.
 
     Recomputes the stop-gradient constants (weights, TD targets) from the
     current model, then evaluates the differentiable composite. ``batch`` may
@@ -435,52 +435,6 @@ def composite_loss(
     prepared = prepare_step(model, batch, config, logging_policy, target_model)
     return evaluate_prepared(
         model, batch, config, prepared, compute_grads, forward=prepared.forward
-    )
-
-
-# -- named losses ----------------------------------------------------------------
-
-
-def ce_loss(model: SequenceModel, batch, compute_grads: bool = True) -> LossBatch:
-    """Unweighted next-item cross-entropy: -(1/n) sum log pi(a_i|x_i)."""
-    return composite_loss(
-        model, batch, ObjectiveConfig(kind="ce"), compute_grads=compute_grads
-    )
-
-
-def reward_weighted_ce(model: SequenceModel, batch, compute_grads: bool = True) -> LossBatch:
-    """Reward-weighted cross-entropy: -(1/n) sum r_i log pi(a_i|x_i); r >= 0."""
-    return composite_loss(
-        model, batch, ObjectiveConfig(kind="reward_ce"), compute_grads=compute_grads
-    )
-
-
-def lpi_loss(
-    model: SequenceModel,
-    logging_policy,
-    batch,
-    beta: float,
-    cap: float = DEFAULT_WEIGHT_CAP,
-    compute_grads: bool = True,
-) -> LossBatch:
-    """Exponentiated-advantage-weighted cross-entropy with stop-gradient weights."""
-    config = ObjectiveConfig(kind="lpi", beta=beta, max_policy_weight=cap)
-    return composite_loss(
-        model, batch, config, logging_policy=logging_policy, compute_grads=compute_grads
-    )
-
-
-def ips_ce_loss(
-    model: SequenceModel,
-    logging_policy,
-    batch,
-    clip: float = DEFAULT_CLIP,
-    compute_grads: bool = True,
-) -> LossBatch:
-    """Importance-weighted reward cross-entropy with one-step ratio correction."""
-    config = ObjectiveConfig(kind="ips_ce", clip=clip)
-    return composite_loss(
-        model, batch, config, logging_policy=logging_policy, compute_grads=compute_grads
     )
 
 

@@ -115,8 +115,9 @@ class SequenceModel:
         return encode(self.params, batch)
 
     def as_batch(self, contexts) -> PaddedBatch:
+        """``contexts`` padded at this model's recency; a padded batch is re-weighted."""
         if isinstance(contexts, PaddedBatch):
-            return contexts
+            return contexts.at(self.config.recency)
         return pad_contexts(contexts, self.config.recency)
 
     def policy_logits_from(self, cache: EncodeCache, out=None) -> np.ndarray:

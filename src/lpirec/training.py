@@ -53,6 +53,7 @@ from .metrics import (
 from .objectives import (
     BEHAVIOR_KINDS,
     ObjectiveConfig,
+    _behavior_probs,
     build_batch,
     evaluate_prepared,
     prepare_step,
@@ -363,9 +364,9 @@ def evaluate_examples(
     and mean JS/KL against the behavior estimate.
 
     The contexts are scored once, in the chunks :func:`metrics.divergence_rows`
-    walks: each chunk is padded and encoded once per recency, and its logits
-    give the ranks, the greedy actions and, on the chunks the divergence cap
-    covers, the model's side of both divergences.
+    walks: each chunk is padded once and encoded once per model, and its
+    logits give the ranks, the greedy actions and, on the chunks the
+    divergence cap covers, the model's side of both divergences.
 
     Every chunk fills the same (chunk, catalog) arrays of ``workspace``
     (default: one held for this call): the logits (later log p), and with a
@@ -383,19 +384,17 @@ def evaluate_examples(
     divergences = {kind: np.empty(covered) for kind in kinds}
     workspace = workspace or Workspace(model.config.catalog_size)
     for rows, first in chunks:
-        batch = model.as_batch(contexts[rows])
-        logits, *buffers = workspace.take(len(batch.lengths), 5 if kinds else 1)
+        chunk = contexts[rows]
+        batch = model.as_batch(chunk)
+        logits, *buffers = workspace.take(len(chunk), 5 if kinds else 1)
         model.policy_logits_from(model.encode(batch), out=logits)
         ranks[rows] = ranks_from_scores(logits, actions[rows])
         greedy[rows] = logits.argmax(axis=1)
         if not kinds or first is None:
             continue
-        if behavior_model.config.recency != model.config.recency:
-            batch = behavior_model.as_batch(contexts[rows])
         p, q, scratch, terms = buffers
         softmax(logits, out=p, scratch=scratch)
-        behavior_model.policy_logits_from(behavior_model.encode(batch), out=q)
-        softmax(q, out=q, scratch=scratch)
+        q = _behavior_probs(behavior_model, chunk, batch, logits.shape[1], q, scratch)
         logs = (logits, scratch, terms)
         for kind, values in _divergences(p, q, kinds, first, logs).items():
             divergences[kind][first : first + len(values)] = values

@@ -1,6 +1,7 @@
 """The README's figures, the package's exported names and its imports match the code."""
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -21,6 +22,22 @@ def test_readme_states_the_package_line_count():
 def test_every_exported_name_resolves():
     missing = [name for name in lpirec.__all__ if not hasattr(lpirec, name)]
     assert missing == []
+
+
+def test_every_dotted_name_in_the_one_implementation_table_resolves():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("has one implementation", 1)[1].split("\n\n", 2)[1]
+    names = re.findall(r"`(\w+(?:\.\w+)+)", table)
+    assert "objectives._behavior_probs" in names
+
+    def resolves(name):
+        try:
+            functools.reduce(getattr, name.split("."), lpirec)
+        except AttributeError:
+            return False
+        return True
+
+    assert [name for name in names if not resolves(name)] == []
 
 
 def test_modules_import_each_other_only_at_module_level():

@@ -174,6 +174,15 @@ def test_a_non_finite_target_score_is_rejected_naming_its_row(bad):
     assert len(ranks_from_scores(scores, [0, 1, 0])) == 3  # only target scores are checked
 
 
+@pytest.mark.parametrize("target", [-1, 3])
+def test_a_target_outside_the_scores_is_rejected_naming_its_row(target):
+    scores = [[0.2, 0.1, 0.4], [0.1, 0.5, 0.3]]
+    with pytest.raises(ValueError, match=rf"row 1: target {target} outside \[0, 3\)"):
+        ranks_from_scores(scores, [0, target])
+    with pytest.raises(ValueError, match="outside"):
+        rank_from_scores(scores[1], target)
+
+
 def test_rank_of_reads_model_scores():
     model = TableModel({(0,): [0.5, 2.0, 1.0]})
     assert rank_of(model, (0,), 1) == 1

@@ -21,15 +21,11 @@ from lpirec.objectives import (
     advantage_from_q,
     attach_reward_to_go,
     build_batch,
-    ce_loss,
     composite_loss,
     evaluate_prepared,
-    ips_ce_loss,
-    lpi_loss,
     lpi_weight,
     prepare_step,
     reward_to_go,
-    reward_weighted_ce,
     td_q_loss,
 )
 from lpirec.policy import SequenceModel, Workspace, softmax
@@ -186,7 +182,7 @@ def test_uniform_policy_ce_is_log_catalog():
     model = make_model(catalog=5)
     model.params["item_embeddings"][:] = 0.0
     batch = build_batch([example((0,), a) for a in range(3)])
-    out = ce_loss(model, batch, compute_grads=False)
+    out = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
     assert out.loss == pytest.approx(np.log(5.0), abs=1e-12)
 
 
@@ -196,14 +192,14 @@ def test_certain_policy_ce_is_zero():
     model.params["head_b"][:] = 0.0
     model.params["head_b"][2] = 1e3  # probability 1 up to float64 resolution
     batch = build_batch([example((0,), 2), example((1, 3), 2)])
-    assert ce_loss(model, batch, compute_grads=False).loss == 0.0
+    assert composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False).loss == 0.0
 
 
 def test_ce_matches_per_example_scalar_oracle():
     model = make_model(seed=3)
     exs = [example((0, 2), 1), example((4,), 5), example((3, 3, 0), 0)]
     batch = build_batch(exs)
-    out = ce_loss(model, batch, compute_grads=False)
+    out = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
     total = 0.0
     for ex in exs:
         lp = model.log_probs([ex.context])[0]
@@ -214,7 +210,7 @@ def test_ce_matches_per_example_scalar_oracle():
 def test_zero_rewards_zero_loss_and_gradients():
     model = make_model(seed=1)
     batch = build_batch([example((0,), 1, reward=0.0), example((2,), 3, reward=0.0)])
-    out = reward_weighted_ce(model, batch)
+    out = composite_loss(model, batch, ObjectiveConfig(kind="reward_ce"))
     assert out.loss == 0.0
     for g in out.gradients.values():
         np.testing.assert_array_equal(np.asarray(g, dtype=float), 0.0)
@@ -223,15 +219,17 @@ def test_zero_rewards_zero_loss_and_gradients():
 def test_unit_rewards_reduce_to_plain_ce():
     model = make_model(seed=2)
     batch = build_batch([example((0, 1), 2, reward=1.0), example((3,), 4, reward=1.0)])
-    assert reward_weighted_ce(model, batch, compute_grads=False).loss == pytest.approx(
-        ce_loss(model, batch, compute_grads=False).loss, abs=1e-15
-    )
+    rce = composite_loss(model, batch, ObjectiveConfig(kind="reward_ce"), compute_grads=False)
+    ce = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
+    assert rce.loss == pytest.approx(ce.loss, abs=1e-15)
 
 
 def test_mixed_rewards_match_hand_weighted_oracle():
     model = make_model(seed=5)
     exs = [example((1,), 2, reward=0.2), example((0, 3), 4, reward=1.0)]
-    out = reward_weighted_ce(model, build_batch(exs), compute_grads=False)
+    out = composite_loss(
+        model, build_batch(exs), ObjectiveConfig(kind="reward_ce"), compute_grads=False
+    )
     lp0 = model.log_probs([exs[0].context])[0][exs[0].action]
     lp1 = model.log_probs([exs[1].context])[0][exs[1].action]
     assert out.loss == pytest.approx(-(0.2 * lp0 + 1.0 * lp1) / 2, abs=1e-12)
@@ -241,7 +239,7 @@ def test_negative_reward_rejected():
     model = make_model()
     batch = build_batch([example((0,), 1, reward=-0.1)])
     with pytest.raises(ValueError, match="non-negative"):
-        reward_weighted_ce(model, batch)
+        composite_loss(model, batch, ObjectiveConfig(kind="reward_ce"))
 
 
 # -- advantages and policy weights ---------------------------------------------
@@ -312,8 +310,11 @@ def test_zero_q_head_reduces_lpi_to_ce():
     model.params["q_W"][:] = 0.0
     model.params["q_b"][:] = 0.0
     batch = small_batch()
-    lpi = lpi_loss(model, uniform_behavior(6), batch, beta=0.3, compute_grads=False)
-    ce = ce_loss(model, batch, compute_grads=False)
+    lpi = composite_loss(
+        model, batch, ObjectiveConfig(kind="lpi", beta=0.3),
+        logging_policy=uniform_behavior(6), compute_grads=False,
+    )
+    ce = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
     assert lpi.loss == pytest.approx(ce.loss, abs=1e-15)
     np.testing.assert_array_equal(lpi.weights, 1.0)
 
@@ -321,8 +322,11 @@ def test_zero_q_head_reduces_lpi_to_ce():
 def test_huge_beta_reduces_lpi_to_ce():
     model = make_model(seed=11)
     batch = small_batch(seed=1)
-    lpi = lpi_loss(model, uniform_behavior(6), batch, beta=1e12, compute_grads=False)
-    ce = ce_loss(model, batch, compute_grads=False)
+    lpi = composite_loss(
+        model, batch, ObjectiveConfig(kind="lpi", beta=1e12),
+        logging_policy=uniform_behavior(6), compute_grads=False,
+    )
+    ce = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
     assert lpi.loss == pytest.approx(ce.loss, abs=1e-9)
 
 
@@ -333,7 +337,10 @@ def test_lpi_weights_match_per_example_formula():
     contexts = [(0,), (1, 2), (3, 4, 5)]
     mu = lambda cs: np.array([mu_rows[contexts.index(tuple(c))] for c in cs])
     exs = [example(c, int(rng.integers(0, 6))) for c in contexts]
-    out = lpi_loss(model, mu, build_batch(exs), beta=0.4, compute_grads=False)
+    out = composite_loss(
+        model, build_batch(exs), ObjectiveConfig(kind="lpi", beta=0.4), logging_policy=mu,
+        compute_grads=False,
+    )
     for i, ex in enumerate(exs):
         adv = advantage_from_q(model, mu, ex.context, ex.action)
         assert out.weights[i] == lpi_weight(adv, 0.4)
@@ -364,12 +371,15 @@ def test_lpi_requires_behavior_estimate():
 # -- IPS-corrected losses ------------------------------------------------------------
 
 
-def test_ratio_one_reduces_ips_to_reward_weighted_ce():
+def test_ratio_one_reduces_ips_to_reward_ce():
     model = make_model(seed=14)
     batch = small_batch(seed=2)
     own_probs = lambda contexts: model.probs(contexts)
-    ips = ips_ce_loss(model, own_probs, batch, compute_grads=False)
-    rce = reward_weighted_ce(model, batch, compute_grads=False)
+    ips = composite_loss(
+        model, batch, ObjectiveConfig(kind="ips_ce"), logging_policy=own_probs,
+        compute_grads=False,
+    )
+    rce = composite_loss(model, batch, ObjectiveConfig(kind="reward_ce"), compute_grads=False)
     assert ips.loss == pytest.approx(rce.loss, abs=1e-12)
 
 
@@ -381,16 +391,25 @@ def test_large_ratio_hits_the_clip():
     row = np.full(6, (1.0 - pi / 100.0) / 5.0)
     row[2] = pi / 100.0  # forces ratio pi/mu = 100
     mu = lambda contexts: np.tile(row, (len(contexts), 1))
-    out = ips_ce_loss(model, mu, batch, clip=30.0, compute_grads=False)
+    out = composite_loss(
+        model, batch, ObjectiveConfig(kind="ips_ce", clip=30.0), logging_policy=mu,
+        compute_grads=False,
+    )
     assert out.weights[0] == pytest.approx(30.0 * 0.5, rel=1e-12)
-    unclipped = ips_ce_loss(model, mu, batch, clip=1e9, compute_grads=False)
+    unclipped = composite_loss(
+        model, batch, ObjectiveConfig(kind="ips_ce", clip=1e9), logging_policy=mu,
+        compute_grads=False,
+    )
     assert unclipped.weights[0] == pytest.approx(100.0 * 0.5, rel=1e-9)
 
 
 def test_zero_rewards_make_ips_loss_zero():
     model = make_model(seed=16)
     exs = [example((0,), 1, reward=0.0), example((2, 3), 4, reward=0.0)]
-    out = ips_ce_loss(model, uniform_behavior(6), build_batch(exs), compute_grads=False)
+    out = composite_loss(
+        model, build_batch(exs), ObjectiveConfig(kind="ips_ce"),
+        logging_policy=uniform_behavior(6), compute_grads=False,
+    )
     assert out.loss == 0.0
 
 
@@ -400,7 +419,7 @@ def test_unsupported_action_raises_support_violation():
     mu = lambda contexts: np.tile(row, (len(contexts), 1))
     batch = build_batch([example((0,), 1), example((1,), 3, seq="t", pos=1)])
     with pytest.raises(SupportViolationError, match=r"action 3 \(batch row 1\)"):
-        ips_ce_loss(model, mu, batch)
+        composite_loss(model, batch, ObjectiveConfig(kind="ips_ce"), logging_policy=mu)
 
 
 @pytest.mark.parametrize("kind", sorted(BEHAVIOR_KINDS))
@@ -418,6 +437,28 @@ def test_a_behavior_estimate_of_the_wrong_shape_is_rejected_naming_it(kind):
             ValueError, match=rf"shape \({rows}, {catalog}\) for 4 contexts over a catalog of 6"
         ):
             prepare_step(model, batch, cfg, estimate)
+
+
+@pytest.mark.parametrize("action", [-1, 5])
+def test_an_action_outside_the_catalog_is_rejected_naming_its_row(action):
+    model = make_model(catalog=5, seed=42)
+    batch = build_batch([example((0,), 1), example((2, 3), action, seq="t")])
+    for kind in ("ce", "lpi"):
+        with pytest.raises(ValueError, match=rf"batch row 1: action {action} outside \[0, 5\)"):
+            prepare_step(model, batch, ObjectiveConfig(kind=kind), uniform_behavior(5))
+
+
+def test_advantage_rejects_a_behavior_estimate_of_another_catalog_naming_it():
+    model = make_model(catalog=5, seed=43)
+    estimates = {
+        6: make_model(catalog=6, seed=44),
+        4: lambda contexts: np.full((len(contexts), 4), 0.25),
+    }
+    for catalog, estimate in estimates.items():
+        with pytest.raises(
+            ValueError, match=rf"shape \(1, {catalog}\) for 1 contexts over a catalog of 5"
+        ):
+            advantage_from_q(model, estimate, (0, 1), 2)
 
 
 # -- TD loss ----------------------------------------------------------------------
@@ -482,7 +523,8 @@ def test_sqn_without_td_term_equals_ce():
     model = make_model(seed=23)
     batch = small_batch(seed=4)
     sqn = composite_loss(model, batch, ObjectiveConfig(kind="sqn"), compute_grads=False)
-    assert sqn.loss == pytest.approx(ce_loss(model, batch, compute_grads=False).loss, abs=1e-15)
+    ce = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
+    assert sqn.loss == pytest.approx(ce.loss, abs=1e-15)
 
 
 def test_unit_q_sac_equals_ce():
@@ -491,16 +533,19 @@ def test_unit_q_sac_equals_ce():
     model.params["q_b"][:] = 1.0
     batch = small_batch(seed=5)
     sac = composite_loss(model, batch, ObjectiveConfig(kind="sac"), compute_grads=False)
-    assert sac.loss == pytest.approx(ce_loss(model, batch, compute_grads=False).loss, abs=1e-14)
+    ce = composite_loss(model, batch, ObjectiveConfig(kind="ce"), compute_grads=False)
+    assert sac.loss == pytest.approx(ce.loss, abs=1e-14)
 
 
-def test_pg_at_zero_discount_equals_reward_weighted_ce():
+def test_pg_at_zero_discount_equals_reward_ce():
     model = make_model(seed=25)
     exs = [example((0,), 1, reward=0.5, pos=0), example((0, 1), 2, reward=0.9, pos=1)]
     pg = composite_loss(
         model, exs, ObjectiveConfig(kind="pg", discount=0.0), compute_grads=False
     )
-    rce = reward_weighted_ce(model, build_batch(exs), compute_grads=False)
+    rce = composite_loss(
+        model, build_batch(exs), ObjectiveConfig(kind="reward_ce"), compute_grads=False
+    )
     assert pg.loss == pytest.approx(rce.loss, abs=1e-14)
 
 
@@ -521,7 +566,10 @@ def test_ips_pg_at_zero_discount_equals_ips_ce():
         model, exs, ObjectiveConfig(kind="ips_pg", discount=0.0), logging_policy=mu,
         compute_grads=False,
     )
-    b = ips_ce_loss(model, mu, build_batch(exs), compute_grads=False)
+    b = composite_loss(
+        model, build_batch(exs), ObjectiveConfig(kind="ips_ce"), logging_policy=mu,
+        compute_grads=False,
+    )
     assert a.loss == pytest.approx(b.loss, abs=1e-14)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lpirec import policy
-from lpirec.encoder import EncoderConfig, encode_backward
+from lpirec.data import RaggedContexts
+from lpirec.encoder import EncoderConfig, encode_backward, pad_contexts
 from lpirec.policy import (
     CheckpointError,
     CheckpointShapeError,
@@ -171,6 +172,23 @@ def test_unit_mass_over_random_context_suite():
     probs = model.probs(contexts)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     assert (probs > 0).all()
+
+
+def test_a_batch_padded_at_another_recency_encodes_as_its_raw_contexts():
+    rng = np.random.default_rng(8)
+    model = make_model(catalog=9, dim=4, seed=3, recency=0.8)
+    for n in (3, 40):  # fewer rows than lengths (weights per row), and more (per length)
+        contexts = [tuple(rng.integers(0, 9, size=rng.integers(0, 12))) for _ in range(n)]
+        fresh = model.encode(contexts)
+        for given in (contexts, RaggedContexts.of(contexts)):
+            padded = pad_contexts(given, 0.3)
+            batch = model.as_batch(padded)
+            assert batch.recency == 0.8 and batch.indices is padded.indices
+            assert np.array_equal(batch.weights, pad_contexts(contexts, 0.8).weights)
+            cache = model.encode(padded)
+            assert np.array_equal(cache.pool, fresh.pool)
+            assert np.array_equal(cache.state, fresh.state)
+        assert model.as_batch(batch) is batch
 
 
 def test_copy_is_deep():

@@ -645,6 +645,14 @@ def test_a_step_pads_only_what_it_reads(monkeypatch):
         assert padded[2 * i] is batch.contexts
         assert padded[2 * i + 1] is batch.next_contexts
 
+    # mu_hat at another recency re-weights the step's padding instead of padding again
+    padded.clear()
+    steps.clear()
+    other = replace(encoder, recency=0.3)
+    assert other.recency != cfg.recency
+    train_model(dataset, cfg, behavior_model=SequenceModel.initialize(other, 4))
+    assert len(steps) > 3 and len(padded) == 2 * len(steps)
+
 
 def test_a_step_runs_each_forward_once(monkeypatch):
     """Encodes and catalog-wide heads per gradient step, per model."""
@@ -775,6 +783,13 @@ def test_event_split_metrics_appear_only_with_mixed_events():
         1.0 / np.log2(5.0), abs=1e-12
     )
     assert report.metrics["ndcg_purchase_at_4"].count == 1
+
+
+def test_evaluation_rejects_a_behavior_model_over_another_catalog_naming_it():
+    behavior = SequenceModel.initialize(EncoderConfig(catalog_size=6, dim=4), seed=0)
+    examples = [example((0,), 1), example((2, 3), 4)]
+    with pytest.raises(ValueError, match=r"shape \(2, 6\) for 2 contexts over a catalog of 5"):
+        evaluate_examples(zeroed_model(catalog=5), examples, RunConfig(), behavior_model=behavior)
 
 
 def test_empty_example_set_is_rejected():
