@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import RaggedContexts
 from .estimators import SupportViolationError
+from .objectives import _behavior_probs
 from .synth import imputed_rewards
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
@@ -265,7 +266,9 @@ def divergence_rows(
 ) -> dict[str, np.ndarray]:
     """kind -> per-context divergence between two policies' full distributions.
 
-    Both arguments expose probs(contexts) -> (n, catalog). When more than
+    ``model`` exposes probs(contexts) -> (n, catalog); ``logging_estimate``
+    is read as every mu is (:func:`objectives._behavior_probs`), so a
+    callable works and another catalog is rejected. When more than
     ``cap`` contexts are given, a seeded subsample of ``cap`` of them is used.
     Each chunk of :func:`_chunk_plan` is scored once per policy for all kinds,
     as an evaluation scores it. KL support violations name the offending
@@ -282,7 +285,8 @@ def divergence_rows(
         if first is None:
             break
         chunk = contexts[rows]
-        p, q = model.probs(chunk), logging_estimate.probs(chunk)
+        p = model.probs(chunk)
+        q = _behavior_probs(logging_estimate, chunk, chunk, p.shape[1])
         for kind, chunk_values in _divergences(p, q, kinds, first_context=first).items():
             values[kind][first : first + len(chunk)] = chunk_values
     return values

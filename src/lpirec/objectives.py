@@ -148,14 +148,6 @@ def build_batch(
     return batch
 
 
-def _as_batch(batch, discount: float = 0.0, need_rtg: bool = False) -> ExampleColumns:
-    if isinstance(batch, ExampleColumns):
-        return batch
-    examples = list(batch)
-    rtg = attach_reward_to_go(examples, discount) if need_rtg else None
-    return build_batch(examples, reward_to_go=rtg)
-
-
 def _behavior_probs(
     logging_policy, contexts: RaggedContexts, padded, catalog: int, out=None, scratch=None
 ) -> np.ndarray:
@@ -186,14 +178,6 @@ def _behavior_probs(
 # -- per-step constants (the stop-gradient side) --------------------------------
 
 
-def _step_arrays(workspace: Workspace | None, n: int) -> list:
-    """An n-row step's mu_hat probabilities, log-probabilities, Q and exps' scratch.
-
-    Without a workspace they are Nones: each array is allocated where it is formed.
-    """
-    return [None] * 4 if workspace is None else workspace.take(n, 4)
-
-
 def _forward(
     model: SequenceModel, padded, out=None, scratch=None
 ) -> tuple[EncodeCache, np.ndarray]:
@@ -213,13 +197,15 @@ class PreparedWeights:
 
     ``forward`` is the model's forward on the contexts, run for every kind
     (see _forward); it is valid only for the parameters prepare_step saw.
-    Prepared with a workspace, its log-probabilities live there and stay
-    valid only until the workspace's next use (the next prepare_step).
+    Its log-probabilities and ``scratch``, the step's exps array, which
+    evaluate_prepared fills with the logit gradient, live in the step's
+    workspace and stay valid only until its next use (the next prepare_step).
     """
 
     policy_weights: np.ndarray
     td_targets: np.ndarray | None = None
     forward: tuple[EncodeCache, np.ndarray] | None = None
+    scratch: np.ndarray | None = None
 
 
 def _advantages(
@@ -242,9 +228,12 @@ def advantage_from_q(model: SequenceModel, logging_policy, context, action: int)
     The Q head is read, not trained, through this quantity: callers treat the
     result as a constant during differentiation.
     """
+    catalog = model.config.catalog_size
+    if not 0 <= action < catalog:
+        raise ValueError(f"action {action} outside [0, {catalog})")
     contexts = RaggedContexts.of([tuple(context)])
     padded = model.as_batch(contexts)
-    mu = _behavior_probs(logging_policy, contexts, padded, model.config.catalog_size)
+    mu = _behavior_probs(logging_policy, contexts, padded, catalog)
     return float(_advantages(model, model.encode(padded), mu, np.array([action]))[0])
 
 
@@ -276,11 +265,11 @@ def prepare_step(
     target read the same batches, re-weighted at their own recency.
     An action outside the model's catalog is rejected, naming its row.
 
-    With a ``workspace`` the step's (n, catalog) arrays are taken from it:
-    mu_hat's probabilities, the model's log-probabilities, Q (for the
-    contexts, then for the next contexts) and the exps' scratch, which
-    evaluate_prepared later fills with the logit gradient. Without one they
-    are allocated here.
+    The step's (n, catalog) arrays are taken from ``workspace`` (default:
+    one held for this step): mu_hat's probabilities, the model's
+    log-probabilities, Q (for the contexts, then for the next contexts) and
+    the exps' scratch, which evaluate_prepared later fills with the logit
+    gradient.
     """
     n, catalog, recency = len(batch), model.config.catalog_size, model.config.recency
     bad = np.flatnonzero((batch.actions < 0) | (batch.actions >= catalog))
@@ -288,7 +277,7 @@ def prepare_step(
         i = int(bad[0])
         raise ValueError(f"batch row {i}: action {batch.actions[i]} outside [0, {catalog})")
     rows = np.arange(n)
-    mu_out, log_probs_out, q_out, scratch = _step_arrays(workspace, n)
+    mu_out, log_probs_out, q_out, scratch = (workspace or Workspace(catalog)).take(n, 4)
     padded = pad_contexts(batch.contexts, recency)
 
     if config.kind in BEHAVIOR_KINDS:
@@ -338,7 +327,7 @@ def prepare_step(
         td_targets = batch.rewards + np.where(
             batch.terminals, 0.0, config.discount * bootstrap
         )
-    return PreparedWeights(weights, td_targets, (cache, log_probs))
+    return PreparedWeights(weights, td_targets, (cache, log_probs), scratch)
 
 
 # -- the differentiable side -----------------------------------------------------
@@ -362,7 +351,6 @@ def evaluate_prepared(
     prepared: PreparedWeights,
     compute_grads: bool = True,
     forward: tuple[EncodeCache, np.ndarray] | None = None,
-    workspace: Workspace | None = None,
 ) -> LossBatch:
     """Evaluate L = -(1/B) sum w_i log pi(a_i|x_i) + lambda * L_TD.
 
@@ -373,11 +361,8 @@ def evaluate_prepared(
     ``forward`` is the model's forward on the batch's contexts, reused
     instead of running it again; pass ``prepared.forward`` only while the
     parameters are the ones prepare_step saw. Without it the forward runs
-    fresh, so the loss follows the current parameters.
-
-    With the ``workspace`` prepare_step filled, the logit gradient is formed
-    in its exps' scratch, which the step no longer reads; without one it is
-    allocated here.
+    fresh, so the loss follows the current parameters. The logit gradient
+    is formed in ``prepared.scratch``, which the step no longer reads.
     """
     n = len(batch)
     if n == 0:
@@ -392,7 +377,7 @@ def evaluate_prepared(
     dlogits = None
     dq_at = None
     if compute_grads:
-        dlogits = np.exp(log_probs, out=_step_arrays(workspace, n)[3])
+        dlogits = np.exp(log_probs, out=prepared.scratch)
         dlogits *= weights[:, None]
         dlogits[rows, batch.actions] -= weights
         dlogits /= n
@@ -419,7 +404,7 @@ def evaluate_prepared(
 
 def composite_loss(
     model: SequenceModel,
-    batch,
+    batch: ExampleColumns,
     config: ObjectiveConfig,
     logging_policy=None,
     target_model: SequenceModel | None = None,
@@ -428,10 +413,8 @@ def composite_loss(
     """One gradient step's loss for any objective kind: the package's one-shot loss.
 
     Recomputes the stop-gradient constants (weights, TD targets) from the
-    current model, then evaluates the differentiable composite. ``batch`` may
-    be an ExampleColumns or a list of examples.
+    current model, then evaluates the differentiable composite.
     """
-    batch = _as_batch(batch, config.discount, need_rtg=config.kind in ("pg", "ips_pg"))
     prepared = prepare_step(model, batch, config, logging_policy, target_model)
     return evaluate_prepared(
         model, batch, config, prepared, compute_grads, forward=prepared.forward
@@ -441,7 +424,7 @@ def composite_loss(
 def td_q_loss(
     model: SequenceModel,
     target_model: SequenceModel,
-    batch,
+    batch: ExampleColumns,
     discount: float,
     compute_grads: bool = True,
 ) -> LossBatch:
@@ -452,7 +435,6 @@ def td_q_loss(
     returned weights are identically zero (no cross-entropy term).
     """
     config = ObjectiveConfig(kind="sqn", td_weight=1.0, discount=discount)
-    batch = _as_batch(batch)
     prepared = prepare_step(model, batch, config, target_model=target_model)
     prepared.policy_weights = np.zeros(len(batch))
     return evaluate_prepared(

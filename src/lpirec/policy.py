@@ -63,8 +63,8 @@ def softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
 class Workspace:
     """One float64 block that (rows, catalog) scoring arrays are carved from.
 
-    A fit or an evaluation call holds one and takes its step's or chunk's
-    arrays from it instead of allocating them, so its speed does not depend
+    A fit, an evaluation call or a lone training step holds one and takes
+    its arrays from it instead of allocating them, so its speed does not depend
     on what the allocator did before. The block grows to the largest request;
     every take reuses it, so an array is read only until the next take.
     """

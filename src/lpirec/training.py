@@ -29,7 +29,6 @@ from .data import (
     Dataset,
     ExampleColumns,
     PreprocessRules,
-    TrainingExample,
     expand_columns,
     expand_examples,  # unused here; cyclebench's tracer wraps this name
     load_interactions_csv,
@@ -219,9 +218,7 @@ def train_model(
             batch = build_batch(columns, rows=batch_rows[index])
             try:
                 prepared = prepare_step(model, batch, objective, behavior_model, target, workspace)
-                result = evaluate_prepared(
-                    model, batch, objective, prepared, forward=prepared.forward, workspace=workspace
-                )
+                result = evaluate_prepared(model, batch, objective, prepared, forward=prepared.forward)
                 if not np.isfinite(result.loss):
                     raise TrainingDivergedError("non-finite loss")
                 adam.step(model.params, result.gradients)
@@ -347,7 +344,7 @@ def fit_imputation(dataset: Dataset, cfg: RunConfig) -> tuple[ImputationModel, d
 
 def evaluate_examples(
     model: SequenceModel,
-    examples: list[TrainingExample] | ExampleColumns,
+    examples: ExampleColumns,
     cfg: RunConfig,
     behavior_model: SequenceModel | None = None,
     imputation: ImputationModel | None = None,
@@ -356,7 +353,7 @@ def evaluate_examples(
     metadata: dict[str, str] | None = None,
     workspace: Workspace | None = None,
 ) -> MetricsReport:
-    """Full metric report over examples, given as columns or as a list.
+    """Full metric report over the examples' columns.
 
     Always reports HR@k / nDCG@k at the configured cutoffs (split by event
     type when several are present) and AR@1. Optional inputs add iAR@1
@@ -372,7 +369,6 @@ def evaluate_examples(
     (default: one held for this call): the logits (later log p), and with a
     behavior model p, q, the exps' scratch (later log q) and the KL terms.
     """
-    examples = ExampleColumns.of(examples)
     if not len(examples):
         raise ValueError("cannot evaluate an empty example set")
     contexts, actions = examples.contexts, examples.actions

@@ -24,11 +24,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_dotted_name_in_the_one_implementation_table_resolves():
+def test_every_dotted_package_name_in_the_readme_resolves():
+    # every backticked `module.name` of an lpirec module, so a deleted name cannot linger
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    table = readme.split("has one implementation", 1)[1].split("\n\n", 2)[1]
-    names = re.findall(r"`(\w+(?:\.\w+)+)", table)
-    assert "objectives._behavior_probs" in names
+    modules = {path.stem for path in (ROOT / "src" / "lpirec").glob("*.py")}
+    names = [
+        name
+        for name in re.findall(r"`(\w+(?:\.\w+)+)", readme)
+        if name.split(".")[0] in modules
+    ]
+    assert {"objectives._behavior_probs", "policy.Workspace"} <= set(names)
 
     def resolves(name):
         try:

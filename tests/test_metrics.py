@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpirec.encoder import EncoderConfig
 from lpirec.estimators import SupportViolationError, empirical_behavior_tabular
 from lpirec.metrics import (
     _DIVERGENCE_CHUNK,
@@ -29,6 +30,7 @@ from lpirec.metrics import (
     ranks_from_scores,
     summarize,
 )
+from lpirec.policy import SequenceModel
 from lpirec.synth import ImputationModel
 
 
@@ -59,6 +61,8 @@ class RowPolicy:
     def probs(self, contexts):
         return np.tile(self.row, (len(contexts), 1))
 
+    __call__ = probs
+
 
 class IndexedPolicy:
     """Returns row ``c[0]`` of a fixed matrix for context ``c``."""
@@ -68,6 +72,8 @@ class IndexedPolicy:
 
     def probs(self, contexts):
         return self.rows[[c[0] for c in contexts]]
+
+    __call__ = probs
 
 
 # -- hit rate and nDCG -------------------------------------------------------------
@@ -365,8 +371,31 @@ def test_divergences_of_distributions_of_different_shapes_are_rejected_by_shape(
     for divergence in (kl_divergence, js_divergence):
         with pytest.raises(ValueError, match=r"shapes \(1, 2\) and \(1, 3\)"):
             divergence([0.5, 0.5], [0.2, 0.3, 0.5])
-    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) for 2 contexts over a catalog of 2"):
         mean_divergence(RowPolicy([0.5, 0.5]), RowPolicy([0.2, 0.3, 0.5]), [(0,), (1,)])
+
+
+def test_a_callable_logging_estimate_gives_its_models_divergences():
+    encoder = EncoderConfig(catalog_size=5, dim=4)
+    model, behavior = (SequenceModel.initialize(encoder, seed) for seed in (1, 2))
+    contexts = [(0,), (1, 2), (4, 3, 1), (2,)] * 90
+    for cap in (None, 100):
+        from_model = divergence_rows(model, behavior, contexts, cap=cap, seed=3)
+        from_callable = divergence_rows(model, behavior.probs, contexts, cap=cap, seed=3)
+        assert all(np.array_equal(from_model[k], from_callable[k]) for k in ("js", "kl"))
+
+
+def test_a_logging_estimate_over_another_catalog_is_rejected_naming_it():
+    model = SequenceModel.initialize(EncoderConfig(catalog_size=5, dim=4), seed=1)
+    estimates = {
+        6: SequenceModel.initialize(EncoderConfig(catalog_size=6, dim=4), seed=2),
+        4: lambda contexts: np.full((len(contexts), 4), 0.25),
+    }
+    for catalog, estimate in estimates.items():
+        with pytest.raises(
+            ValueError, match=rf"shape \(2, {catalog}\) for 2 contexts over a catalog of 5"
+        ):
+            mean_divergence(model, estimate, [(0,), (1, 2)])
 
 
 def test_mean_divergence_of_identical_policies_is_zero():
@@ -396,6 +425,8 @@ def test_mean_divergence_subsample_is_seeded_and_capped():
 
         def probs(self, contexts):
             return np.tile(rows[self.i], (len(contexts), 1))
+
+        __call__ = probs
 
     contexts = [(i,) for i in range(500)]
     a = mean_divergence(TwoRow(0), TwoRow(1), contexts, cap=50, seed=9)

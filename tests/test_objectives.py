@@ -1,5 +1,7 @@
 """Training objectives: weight tables, stop-gradient convention, TD targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -448,6 +450,13 @@ def test_an_action_outside_the_catalog_is_rejected_naming_its_row(action):
             prepare_step(model, batch, ObjectiveConfig(kind=kind), uniform_behavior(5))
 
 
+@pytest.mark.parametrize("action", [-1, 5])
+def test_advantage_rejects_an_action_outside_the_catalog(action):
+    model = make_model(catalog=5, seed=42)
+    with pytest.raises(ValueError, match=rf"action {action} outside \[0, 5\)"):
+        advantage_from_q(model, uniform_behavior(5), (0, 1), action)
+
+
 def test_advantage_rejects_a_behavior_estimate_of_another_catalog_naming_it():
     model = make_model(catalog=5, seed=43)
     estimates = {
@@ -541,7 +550,10 @@ def test_pg_at_zero_discount_equals_reward_ce():
     model = make_model(seed=25)
     exs = [example((0,), 1, reward=0.5, pos=0), example((0, 1), 2, reward=0.9, pos=1)]
     pg = composite_loss(
-        model, exs, ObjectiveConfig(kind="pg", discount=0.0), compute_grads=False
+        model,
+        build_batch(exs, attach_reward_to_go(exs, 0.0)),
+        ObjectiveConfig(kind="pg", discount=0.0),
+        compute_grads=False,
     )
     rce = composite_loss(
         model, build_batch(exs), ObjectiveConfig(kind="reward_ce"), compute_grads=False
@@ -553,7 +565,10 @@ def test_pg_weights_are_reward_to_go():
     model = make_model(seed=26)
     exs = [example((0,), 1, reward=1.0, pos=0), example((0, 1), 2, reward=1.0, pos=1)]
     pg = composite_loss(
-        model, exs, ObjectiveConfig(kind="pg", discount=0.5), compute_grads=False
+        model,
+        build_batch(exs, attach_reward_to_go(exs, 0.5)),
+        ObjectiveConfig(kind="pg", discount=0.5),
+        compute_grads=False,
     )
     np.testing.assert_allclose(pg.weights, [1.5, 1.0], atol=1e-15)
 
@@ -563,8 +578,8 @@ def test_ips_pg_at_zero_discount_equals_ips_ce():
     exs = [example((0,), 1, reward=0.5, pos=0), example((0, 1), 2, reward=0.9, pos=1)]
     mu = uniform_behavior(6)
     a = composite_loss(
-        model, exs, ObjectiveConfig(kind="ips_pg", discount=0.0), logging_policy=mu,
-        compute_grads=False,
+        model, build_batch(exs, attach_reward_to_go(exs, 0.0)),
+        ObjectiveConfig(kind="ips_pg", discount=0.0), logging_policy=mu, compute_grads=False,
     )
     b = composite_loss(
         model, build_batch(exs), ObjectiveConfig(kind="ips_ce"), logging_policy=mu,
@@ -617,9 +632,10 @@ def test_weight_table_matches_specification_for_every_kind():
             1e4,
         ),
     }
+    batch = build_batch(exs, attach_reward_to_go(exs, 0.9))
     for kind in OBJECTIVE_KINDS:
         cfg = ObjectiveConfig(kind=kind, beta=0.5, discount=0.9)
-        out = composite_loss(model, list(exs), cfg, logging_policy=mu, compute_grads=False)
+        out = composite_loss(model, batch, cfg, logging_policy=mu, compute_grads=False)
         np.testing.assert_allclose(out.weights, expected[kind], rtol=1e-12, err_msg=kind)
 
 
@@ -660,9 +676,7 @@ def test_steps_in_a_workspace_equal_fresh_steps_bit_for_bit(kind):
         model, adam, steps = make_model(catalog=7, dim=5, seed=36), Adam(lr=0.05), []
         for batch in batches:
             prepared = prepare_step(model, batch, cfg, behavior, target, workspace)
-            out = evaluate_prepared(
-                model, batch, cfg, prepared, forward=prepared.forward, workspace=workspace
-            )
+            out = evaluate_prepared(model, batch, cfg, prepared, forward=prepared.forward)
             steps.append((out.loss, out.policy_term, out.td_term, out.weights, prepared.td_targets))
             steps.append(out.gradients)
             adam.step(model.params, out.gradients)
@@ -675,6 +689,23 @@ def test_steps_in_a_workspace_equal_fresh_steps_bit_for_bit(kind):
         else:
             assert all(np.array_equal(a, b) for a, b in zip(expected, got))
     assert all(np.array_equal(fresh_params[name], reused_params[name]) for name in fresh_params)
+
+
+def test_a_step_prepared_without_a_workspace_takes_its_logit_gradient_in_its_own_block():
+    # one (n, catalog) float64 array is 10.2 MB; the gradients of the parameters are far smaller
+    catalog, n = 20_000, 64
+    model = make_model(catalog=catalog, dim=4, seed=46)
+    batch = small_batch(catalog=catalog, n=n, seed=47)
+    cfg = ObjectiveConfig(kind="ce")
+    prepared = prepare_step(model, batch, cfg)
+    tracemalloc.start()
+    try:
+        out = evaluate_prepared(model, batch, cfg, prepared, forward=prepared.forward)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.gradients["head_b"].shape == (catalog,)
+    assert peak < 8 * n * catalog / 2
 
 
 def test_empty_batch_rejected():

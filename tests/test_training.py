@@ -17,6 +17,7 @@ from lpirec.config import RunConfig, load_config
 from lpirec.data import (
     Dataset,
     Interaction,
+    ExampleColumns,
     SessionSequence,
     TrainingExample,
     expand_columns,
@@ -742,7 +743,7 @@ def test_report_covers_ranking_and_reward_metrics():
         example((3,), 3, reward=0.5),
     ]
     cfg = RunConfig(eval_ks="1,2,4")
-    report = evaluate_examples(model, examples, cfg)
+    report = evaluate_examples(model, ExampleColumns.of(examples), cfg)
     assert set(report.metrics) == {
         "hr_at_1", "hr_at_2", "hr_at_4", "ndcg_at_1", "ndcg_at_2", "ndcg_at_4", "ar_at_1"
     }
@@ -767,7 +768,7 @@ def test_event_split_metrics_appear_only_with_mixed_events():
     model = zeroed_model(catalog=4)
     cfg = RunConfig(eval_ks="1,4")
     uniform_event = [example((0,), 0), example((1,), 1)]
-    report = evaluate_examples(model, uniform_event, cfg)
+    report = evaluate_examples(model, ExampleColumns.of(uniform_event), cfg)
     assert not any("click" in name for name in report.metrics)
 
     mixed = [
@@ -775,7 +776,7 @@ def test_event_split_metrics_appear_only_with_mixed_events():
         example((1,), 1, event="click"),
         example((2,), 3, event="purchase"),
     ]
-    report = evaluate_examples(model, mixed, cfg)
+    report = evaluate_examples(model, ExampleColumns.of(mixed), cfg)
     assert report.metrics["ndcg_click_at_1"].value == pytest.approx(0.5, abs=1e-12)
     assert report.metrics["ndcg_click_at_1"].count == 2
     assert report.metrics["hr_purchase_at_4"].value == pytest.approx(1.0, abs=1e-12)
@@ -787,20 +788,21 @@ def test_event_split_metrics_appear_only_with_mixed_events():
 
 def test_evaluation_rejects_a_behavior_model_over_another_catalog_naming_it():
     behavior = SequenceModel.initialize(EncoderConfig(catalog_size=6, dim=4), seed=0)
-    examples = [example((0,), 1), example((2, 3), 4)]
+    examples = ExampleColumns.of([example((0,), 1), example((2, 3), 4)])
     with pytest.raises(ValueError, match=r"shape \(2, 6\) for 2 contexts over a catalog of 5"):
         evaluate_examples(zeroed_model(catalog=5), examples, RunConfig(), behavior_model=behavior)
 
 
 def test_empty_example_set_is_rejected():
     with pytest.raises(ValueError, match="empty example set"):
-        evaluate_examples(zeroed_model(catalog=4), [], RunConfig())
+        evaluate_examples(zeroed_model(catalog=4), ExampleColumns.of([]), RunConfig())
 
 
 def test_imputed_reward_metric_needs_the_user_index():
     model = zeroed_model(catalog=4)
-    examples = [example((0,), 1, sequence_id="a"), example((1,), 2, sequence_id="a"),
-                example((2,), 3, sequence_id="b")]
+    examples = ExampleColumns.of([example((0,), 1, sequence_id="a"),
+                                  example((1,), 2, sequence_id="a"),
+                                  example((2,), 3, sequence_id="b")])
     imputation = fit_weighted_mf(
         [(0, 0, 1.0), (1, 1, 0.0), (0, 1, 0.5), (1, 0, 0.3)],
         f=1, missing_target=0.25, missing_weight=0.05, seed=0, n_users=2, n_items=4,
@@ -824,12 +826,12 @@ def test_imputed_reward_metric_needs_the_user_index():
 
 def test_sequence_lengths_add_the_count_breakdown():
     model = zeroed_model(catalog=4)
-    examples = [
+    examples = ExampleColumns.of([
         example((0,), 0, sequence_id="a"),
         example((0, 1), 1, sequence_id="a"),
         example((1,), 3, sequence_id="b"),
         example((1, 2), 3, sequence_id="b"),
-    ]
+    ])
     cfg = RunConfig(eval_ks="1")
     lengths = {"a": 3, "b": 12}
     report = evaluate_examples(model, examples, cfg, sequence_lengths=lengths)
@@ -864,7 +866,7 @@ def test_breakdown_means_equal_each_sequences_own_mean_bit_for_bit():
 
 def test_behavior_divergence_metrics_compare_policies():
     model = zeroed_model(catalog=4)
-    examples = [example((i,), i) for i in range(4)]
+    examples = ExampleColumns.of([example((i,), i) for i in range(4)])
     cfg = RunConfig(eval_ks="1")
     report = evaluate_examples(model, examples, cfg, behavior_model=zeroed_model(4),
                                metadata={"divergence_contexts": "here"})
@@ -919,7 +921,7 @@ def test_evaluate_examples_reads_a_list_and_its_columns_alike():
         user_index={seq.id: u for u, seq in enumerate(sequences)},
         sequence_lengths={seq.id: len(seq) for seq in sequences},
     )
-    from_list = evaluate_examples(model, listed, cfg, **extras)
+    from_list = evaluate_examples(model, ExampleColumns.of(listed), cfg, **extras)
     from_columns = evaluate_examples(model, columns, cfg, **extras)
     assert {"ndcg_purchase_at_3", "iar_at_1", "kl_vs_behavior"} <= set(from_list.metrics)
     assert from_list.breakdown is not None
@@ -931,8 +933,8 @@ def test_evaluate_examples_reads_a_generator_like_its_list():
     listed = [ex for seq in sequences for ex in expand_examples(seq, 4) if ex.in_loss_window]
     model = SequenceModel.initialize(EncoderConfig(catalog_size=7, dim=4), seed=1)
     cfg = RunConfig(eval_ks="1,3", loss_window=4)
-    from_list = evaluate_examples(model, listed, cfg)
-    from_generator = evaluate_examples(model, (ex for ex in listed), cfg)
+    from_list = evaluate_examples(model, ExampleColumns.of(listed), cfg)
+    from_generator = evaluate_examples(model, ExampleColumns.of(ex for ex in listed), cfg)
     assert from_generator.to_json() == from_list.to_json()
 
 
