@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .data import EVENT_CLICK, EVENT_PURCHASE, EVENT_RATING
 from .encoder import EncoderConfig
 from .objectives import OBJECTIVE_KINDS, ObjectiveConfig
 from .synth import MAX_WORLD_STATES
@@ -80,6 +81,9 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.data_source not in ("csv", "synthetic"):
             raise ConfigError(f"data_source must be csv or synthetic, got {self.data_source!r}")
+        events = ("", EVENT_CLICK, EVENT_PURCHASE, EVENT_RATING)
+        if self.min_count_event not in events:
+            raise ConfigError(f"min_count_event must be one of {events}, got {self.min_count_event!r}")
         if self.objective not in OBJECTIVE_KINDS:
             raise ConfigError(
                 f"objective must be one of {', '.join(OBJECTIVE_KINDS)}; got {self.objective!r}"
@@ -91,14 +95,13 @@ class RunConfig:
             "loss_window",
             "dim",
             "batch_size",
-            "target_refresh",
             "learning_rate",
             "behavior_learning_rate",
         )
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("epochs", "behavior_epochs", "imputation_rank"):
+        for name in ("seed", "synthetic_seed", "epochs", "behavior_epochs", "imputation_rank"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
@@ -126,6 +129,7 @@ class RunConfig:
             raise ConfigError("synthetic_horizon must be >= 2")
         if not 0.0 < self.imputation_missing_weight <= 1.0:
             raise ConfigError("imputation_missing_weight must lie in (0, 1]")
+        self.objective_config()  # the objective's own rules, checked at load
 
     # -- conversions --------------------------------------------------------
 

@@ -35,7 +35,7 @@ from .data import (
     preprocess,
     split,
 )
-from .encoder import Adam, EncoderConfig, TrainingDivergedError
+from .encoder import Adam, TrainingDivergedError
 from .metrics import (
     MetricsReport,
     MetricSummary,
@@ -51,7 +51,6 @@ from .metrics import (
 )
 from .objectives import (
     BEHAVIOR_KINDS,
-    ObjectiveConfig,
     _behavior_probs,
     build_batch,
     evaluate_prepared,
@@ -163,13 +162,10 @@ def _validation_log_loss(
 def train_model(
     dataset: Dataset,
     cfg: RunConfig,
-    objective: ObjectiveConfig | None = None,
-    encoder: EncoderConfig | None = None,
     behavior_model: SequenceModel | None = None,
-    seed_offset: int = 0,
     select_by: str = "score",
 ) -> TrainResult:
-    """Train one model on the dataset's train split.
+    """Train one model on the dataset's train split, configured by ``cfg`` alone.
 
     select_by: "score" keeps the epoch with the best validation selection
     score, "log_loss" the one with the lowest validation cross-entropy; with
@@ -178,17 +174,17 @@ def train_model(
     """
     if select_by not in ("score", "log_loss"):
         raise ValueError(f'select_by must be "score" or "log_loss", got {select_by!r}')
-    objective = objective or cfg.objective_config()
-    encoder = encoder or cfg.encoder_config(dataset.catalog_size)
+    objective = cfg.objective_config()
+    encoder = cfg.encoder_config(dataset.catalog_size)
     if behavior_model is not None:
         _check_catalog(behavior_model, "behavior model", dataset)
     if objective.kind in BEHAVIOR_KINDS and behavior_model is None:
-        behavior_model = fit_behavior_model(dataset, cfg, encoder)
+        behavior_model = fit_behavior_model(dataset, cfg)
 
     columns = expand_columns(dataset.sequences_in("train"), cfg.loss_window, objective.discount)
     if not len(columns):
         raise ValueError("train split expands to no examples")
-    batch_rng = np.random.default_rng(cfg.seed + seed_offset + _BATCH_SEED_OFFSET)
+    batch_rng = np.random.default_rng(cfg.seed + _BATCH_SEED_OFFSET)
     shuffled = batch_rng.permutation(len(columns))
     batch_rows = np.split(shuffled, np.arange(cfg.batch_size, len(shuffled), cfg.batch_size))
 
@@ -196,7 +192,7 @@ def train_model(
         dataset.sequences_in("validation"), cfg.loss_window, objective.discount
     )
 
-    model = SequenceModel.initialize(encoder, cfg.seed + seed_offset)
+    model = SequenceModel.initialize(encoder, cfg.seed)
     adam = Adam(
         lr=cfg.learning_rate, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps
     )
@@ -267,7 +263,7 @@ def train_model(
         # keep the final model when no epoch was scored
         best_params = {k: v.copy() for k, v in model.params.items()}
         best_epoch = len([e for e in log if e["type"] == "epoch"])
-        best_score = float("nan") if not np.isfinite(best_score) else best_score
+        best_score = float("nan")
     best = SequenceModel(encoder, best_params)
     return TrainResult(
         model=best,
@@ -278,14 +274,12 @@ def train_model(
     )
 
 
-def fit_behavior_model(
-    dataset: Dataset, cfg: RunConfig, encoder: EncoderConfig | None = None
-) -> SequenceModel:
+def fit_behavior_model(dataset: Dataset, cfg: RunConfig) -> SequenceModel:
     """Estimate the logging policy by next-item cross-entropy on the train split.
 
-    Rewards are ignored; epochs and learning rate come from the
-    behavior_epochs / behavior_learning_rate settings; the best epoch is
-    chosen by validation log loss.
+    It is ``train_model`` at a config derived from ``cfg``: objective ce,
+    behavior_epochs / behavior_learning_rate, an offset seed, and the epoch
+    with the lowest validation log loss kept.
     """
     behavior_cfg = replace(
         cfg,
@@ -293,16 +287,9 @@ def fit_behavior_model(
         td_weight=0.0,
         epochs=cfg.behavior_epochs,
         learning_rate=cfg.behavior_learning_rate,
+        seed=cfg.seed + _BEHAVIOR_SEED_OFFSET,
     )
-    result = train_model(
-        dataset,
-        behavior_cfg,
-        objective=ObjectiveConfig(kind="ce", discount=0.0),
-        encoder=encoder or cfg.encoder_config(dataset.catalog_size),
-        seed_offset=_BEHAVIOR_SEED_OFFSET,
-        select_by="log_loss",
-    )
-    return result.model
+    return train_model(dataset, behavior_cfg, select_by="log_loss").model
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -347,18 +334,17 @@ def evaluate_examples(
     examples: ExampleColumns,
     cfg: RunConfig,
     behavior_model: SequenceModel | None = None,
-    imputation: ImputationModel | None = None,
-    user_index: dict[str, int] | None = None,
+    imputation: tuple[ImputationModel, dict[str, int]] | None = None,
     sequence_lengths: dict[str, int] | None = None,
-    metadata: dict[str, str] | None = None,
     workspace: Workspace | None = None,
 ) -> MetricsReport:
     """Full metric report over the examples' columns.
 
     Always reports HR@k / nDCG@k at the configured cutoffs (split by event
     type when several are present) and AR@1. Optional inputs add iAR@1
-    (imputation + user_index), the action-count breakdown (sequence_lengths),
-    and mean JS/KL against the behavior estimate.
+    (imputation: the (model, user index) pair :func:`fit_imputation`
+    returns), the action-count breakdown (sequence_lengths), and mean JS/KL
+    against the behavior estimate.
 
     The contexts are scored once, in the chunks :func:`metrics.divergence_rows`
     walks: each chunk is padded once and encoded once per model, and its
@@ -416,11 +402,10 @@ def evaluate_examples(
     present = np.flatnonzero(sizes)
     present_ids = examples.owner_ids[present]
     if imputation is not None:
-        if user_index is None:
-            raise ValueError("imputation metrics need the sequence-to-user index")
+        imputer, user_index = imputation
         user_of = np.zeros(len(sizes), dtype=np.int64)
         user_of[present] = [user_index[sid] for sid in present_ids]
-        metrics["iar_at_1"] = summarize(imputed_rewards(imputation, user_of[owners], greedy))
+        metrics["iar_at_1"] = summarize(imputed_rewards(imputer, user_of[owners], greedy))
 
     breakdown = None
     if sequence_lengths is not None:
@@ -440,7 +425,7 @@ def evaluate_examples(
     for kind, values in divergences.items():
         metrics[f"{kind}_vs_behavior"] = summarize(values)
 
-    return MetricsReport(metrics=metrics, breakdown=breakdown, metadata=metadata)
+    return MetricsReport(metrics=metrics, breakdown=breakdown)
 
 
 def evaluate_split(
@@ -459,25 +444,19 @@ def evaluate_split(
     if not len(examples):
         raise ValueError(f"split {split_name!r} has no evaluable examples")
     sequence_lengths = dict(zip(sequences.ids.tolist(), np.diff(sequences.offsets).tolist()))
-    imputation = None
-    user_index = None
-    if cfg.imputation_rank > 0:
-        imputation, user_index = fit_imputation(dataset, cfg)
-    metadata = {"divergence_contexts": split_name}
-    if behavior_model is None:
-        metadata = {
-            "warning": "logging-policy estimate unavailable; divergence metrics omitted"
-        }
-    return evaluate_examples(
+    imputation = fit_imputation(dataset, cfg) if cfg.imputation_rank > 0 else None
+    report = evaluate_examples(
         model,
         examples,
         cfg,
         behavior_model=behavior_model,
         imputation=imputation,
-        user_index=user_index,
         sequence_lengths=sequence_lengths,
-        metadata=metadata,
     )
+    report.metadata = {"divergence_contexts": split_name}
+    if behavior_model is None:
+        report.metadata = {"warning": "logging-policy estimate unavailable; divergence metrics omitted"}
+    return report
 
 
 # -- pipeline entry points ----------------------------------------------------

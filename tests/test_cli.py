@@ -173,6 +173,18 @@ def test_bad_config_fails_validation(tmp_path, capsys):
     assert err.startswith("error:") and "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "objective", ["objective = lpi\nbeta = 0", "td_weight = 1"], ids=["lpi-beta-0", "ce-td"]
+)
+def test_train_with_an_objective_its_rules_reject_creates_no_output(tmp_path, capsys, objective):
+    config_path = tmp_path / "config.txt"
+    out = tmp_path / "out"
+    config_path.write_text(f"data_source = synthetic\n{objective}\noutput_dir = {out}\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_missing_config_file_fails_validation(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "absent.txt")]) == 1
     assert capsys.readouterr().err.startswith("error:")

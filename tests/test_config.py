@@ -118,6 +118,9 @@ def test_field_validation(kwargs):
         ("imputation_missing_weight", 0.0),
         ("imputation_missing_weight", -0.5),
         ("imputation_missing_weight", 1.5),
+        ("seed", -1),
+        ("synthetic_seed", -1),
+        ("min_count_event", "clicks"),
     ],
 )
 def test_world_sizes_and_imputer_weight_are_rejected_by_name(key, value):
@@ -151,6 +154,10 @@ def test_non_finite_floats_are_rejected_by_name(key):
 def test_objective_validation_happens_at_config_level():
     with pytest.raises(ConfigError, match="td_weight"):
         RunConfig(objective="ce", td_weight=0.5).objective_config()
+    with pytest.raises(ConfigError, match="lpi requires beta > 0"):
+        RunConfig(objective="lpi", beta=0.0)
+    with pytest.raises(ConfigError, match="td_weight must be 0"):
+        parse_config_text("objective = ce\ntd_weight = 1\n")
     cfg = RunConfig(objective="lpi", beta=0.5, td_weight=1.0, discount=0.9)
     obj = cfg.objective_config()
     assert obj.kind == "lpi" and obj.beta == 0.5 and obj.discount == 0.9

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import lpirec
+from test_benchmark_hooks import load_spans
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +58,23 @@ def test_modules_import_each_other_only_at_module_level():
                     if isinstance(inner, ast.ImportFrom) and inner.level > 0
                 }
     assert sorted(nested) == []
+
+
+def test_every_module_level_import_is_read():
+    # the one exception: a name imported so that cyclebench's tracer can wrap it there
+    traced = {(target, attr) for target, attr, _, _ in load_spans().BOUNDARIES}
+    unread = []
+    for path in sorted((ROOT / "src" / "lpirec").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (f"lpirec.{path.stem}", name) not in traced:
+                        unread.append(f"{path.name}:{name}")
+    assert unread == []

@@ -34,7 +34,7 @@ from lpirec.metrics import (
     mean_divergence,
     ndcg_samples,
 )
-from lpirec.objectives import ObjectiveConfig, attach_reward_to_go, build_batch
+from lpirec.objectives import attach_reward_to_go, build_batch
 from lpirec.policy import SequenceModel, load_checkpoint, save_checkpoint
 from lpirec.synth import (
     bucket_contexts_by_state,
@@ -317,14 +317,19 @@ def test_training_requires_train_examples():
         train_model(dataset, cfg)
 
 
-def test_reward_to_go_follows_the_objectives_discount():
-    cfg = synth_cfg(objective="pg", td_weight=0.0, synthetic_sessions=200)
-    discounted = replace(cfg, discount=0.9)
+def test_reward_to_go_follows_the_objectives_discount(monkeypatch):
+    cfg = synth_cfg(objective="pg", td_weight=0.0, synthetic_sessions=200, discount=0.9)
     dataset = load_dataset(cfg)
-    given = train_model(dataset, cfg, objective=discounted.objective_config())
-    configured = train_model(dataset, discounted)
-    for name, value in configured.model.params.items():
-        assert np.array_equal(given.model.params[name], value), name
+    expanded = []
+    original = training.expand_columns
+
+    def spy(sequences, loss_window, discount):
+        expanded.append((sequences.ids.tolist(), discount))
+        return original(sequences, loss_window, discount)
+
+    monkeypatch.setattr(training, "expand_columns", spy)
+    train_model(dataset, cfg)
+    assert (dataset.sequences_in("train").ids.tolist(), 0.9) in expanded
 
 
 @pytest.mark.parametrize("discount", [0.5, 0.9])
@@ -380,7 +385,7 @@ def test_train_model_never_expands_a_train_sequence(monkeypatch):
         return original(sequence, loss_window)
 
     monkeypatch.setattr(training, "expand_examples", spy)
-    result = train_model(dataset, cfg, objective=ObjectiveConfig(kind="ce"))
+    result = train_model(dataset, replace(cfg, objective="ce", td_weight=0.0))
     assert "validation" in result.log[-1]
     evaluate_split(result.model, dataset, "test", cfg, behavior_model=result.model)
     assert expanded == []
@@ -488,17 +493,10 @@ def spy_behavior(dataset):
 
 
 def test_every_model_pools_with_its_own_recency():
-    cfg = synth_cfg(epochs=1, recency=0.8)
+    cfg = synth_cfg(epochs=1, recency=0.5)
     dataset = load_dataset(cfg)
-    encoder = EncoderConfig(catalog_size=dataset.catalog_size, dim=cfg.dim, recency=0.5)
     behavior = spy_behavior(dataset)
-
-    trained = train_model(dataset, cfg, encoder=encoder, behavior_model=behavior).model
-    reference = train_model(
-        dataset, replace(cfg, recency=0.5), encoder=encoder, behavior_model=behavior
-    ).model
-    for name, value in reference.params.items():
-        np.testing.assert_array_equal(trained.params[name], value)
+    train_model(dataset, cfg, behavior_model=behavior)
 
     assert behavior.scored
     for batch in behavior.scored:
@@ -673,8 +671,7 @@ def test_a_step_runs_each_forward_once(monkeypatch):
     counting("q_values_from", 1)
     rng = np.random.default_rng(5)
     dataset = dataset_of([list(rng.integers(0, 12, size=6)) for _ in range(40)], catalog=12)
-    encoder = EncoderConfig(catalog_size=12, dim=8)
-    behavior = SequenceModel.initialize(encoder, 4)
+    behavior = SequenceModel.initialize(EncoderConfig(catalog_size=12, dim=8), 4)
     # [encodes, heads]: mu_hat scores the contexts; the model encodes the
     # contexts once, shared with the loss, and the next contexts once for
     # the online argmax; the target network reads Q at best_next only
@@ -689,7 +686,7 @@ def test_a_step_runs_each_forward_once(monkeypatch):
         cfg = RunConfig(objective=kind, beta=0.5, td_weight=td_weight, discount=0.5,
                         epochs=2, batch_size=64, dim=8)
         forwards.clear()
-        steps = train_model(dataset, cfg, encoder=encoder, behavior_model=behavior).log[-1]["steps"]
+        steps = train_model(dataset, cfg, behavior_model=behavior).log[-1]["steps"]
         per_step = {model: [n / steps for n in counts] for model, counts in forwards.items()}
         assert steps > 2
         assert per_step.pop(behavior, None) == behavior_counts, kind
@@ -798,7 +795,7 @@ def test_empty_example_set_is_rejected():
         evaluate_examples(zeroed_model(catalog=4), ExampleColumns.of([]), RunConfig())
 
 
-def test_imputed_reward_metric_needs_the_user_index():
+def test_imputed_reward_metric_reads_the_fitted_pair():
     model = zeroed_model(catalog=4)
     examples = ExampleColumns.of([example((0,), 1, sequence_id="a"),
                                   example((1,), 2, sequence_id="a"),
@@ -808,12 +805,7 @@ def test_imputed_reward_metric_needs_the_user_index():
         f=1, missing_target=0.25, missing_weight=0.05, seed=0, n_users=2, n_items=4,
     )
     cfg = RunConfig(eval_ks="1")
-    with pytest.raises(ValueError, match="sequence-to-user index"):
-        evaluate_examples(model, examples, cfg, imputation=imputation)
-
-    user_index = {"a": 0, "b": 1}
-    report = evaluate_examples(model, examples, cfg, imputation=imputation,
-                               user_index=user_index)
+    report = evaluate_examples(model, examples, cfg, imputation=(imputation, {"a": 0, "b": 1}))
     # greedy action is item 0 for every context
     expected = np.mean([
         impute_reward(imputation, 0, 0),
@@ -868,12 +860,10 @@ def test_behavior_divergence_metrics_compare_policies():
     model = zeroed_model(catalog=4)
     examples = ExampleColumns.of([example((i,), i) for i in range(4)])
     cfg = RunConfig(eval_ks="1")
-    report = evaluate_examples(model, examples, cfg, behavior_model=zeroed_model(4),
-                               metadata={"divergence_contexts": "here"})
+    report = evaluate_examples(model, examples, cfg, behavior_model=zeroed_model(4))
     assert report.metrics["js_vs_behavior"].value == 0.0
     assert report.metrics["kl_vs_behavior"].value == 0.0
     assert report.metrics["js_vs_behavior"].count == 4
-    assert report.metadata == {"divergence_contexts": "here"}
 
     shifted = zeroed_model(catalog=4)
     shifted.params["head_b"][0] = 1.0
@@ -917,8 +907,7 @@ def test_evaluate_examples_reads_a_list_and_its_columns_alike():
     )
     extras = dict(
         behavior_model=behavior,
-        imputation=imputation,
-        user_index={seq.id: u for u, seq in enumerate(sequences)},
+        imputation=(imputation, {seq.id: u for u, seq in enumerate(sequences)}),
         sequence_lengths={seq.id: len(seq) for seq in sequences},
     )
     from_list = evaluate_examples(model, ExampleColumns.of(listed), cfg, **extras)
