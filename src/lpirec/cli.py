@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .config import load_config
+from .data import SPLITS
 from .training import run_diagnose, run_eval, run_train
 
 
@@ -27,9 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     evaluate.add_argument("--config", required=True)
     evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument(
-        "--split", required=True, choices=("train", "validation", "test")
-    )
+    evaluate.add_argument("--split", required=True, choices=SPLITS)
     evaluate.add_argument("--output", help="also write the metrics JSON here")
 
     diagnose = sub.add_parser(

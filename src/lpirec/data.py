@@ -284,6 +284,7 @@ class PreprocessRules:
 
     ``min_count_event`` restricts which events count toward
     ``min_interactions`` (e.g. "click" to count clicks only); None counts all.
+    :func:`preprocess` rejects an event that its data does not hold.
     """
 
     min_interactions: int = 2
@@ -314,6 +315,10 @@ def preprocess(
     re-indexed to a dense [0, catalog_size).
     """
     table = SequenceTable.of(raw_sequences)
+    if rules.min_count_event not in (None, *table.event_names):
+        raise EmptyDatasetError(
+            f"min_count_event {rules.min_count_event!r} is not among the events {table.event_names}"
+        )
     if table.item_ids is None:
         raw_ids, items = np.unique(table.items, return_inverse=True)
     else:

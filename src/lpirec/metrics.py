@@ -1,9 +1,11 @@
-"""Ranking metrics, greedy-reward metrics, divergences, and reports.
+"""Ranking metrics, divergences, and reports.
 
 Ranks are 1-based: an item's rank is one plus the number of items scored
-strictly higher, with ties resolved in favor of smaller item indices. Reports
-carry (value, count, standard_error) per metric, where the standard error is
-the sample standard deviation over per-example values divided by sqrt(count).
+strictly higher, with ties resolved in favor of smaller item indices. The
+greedy action, and AR@1 and iAR@1 read from it, have one scorer: the logits
+that give :func:`training.evaluate_examples` its ranks. Reports carry (value,
+count, standard_error) per metric, where the standard error is the sample
+standard deviation over per-example values divided by sqrt(count).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .data import RaggedContexts
 from .estimators import SupportViolationError
 from .objectives import _behavior_probs
-from .synth import imputed_rewards
 
 DEFAULT_BUCKET_EDGES = (5, 10, 15)
 DEFAULT_DIVERGENCE_CAP = 50_000
@@ -121,12 +122,6 @@ def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_of(model, context, target: int) -> int:
-    """Rank of ``target`` under the model's action scores for ``context``."""
-    scores = np.asarray(model.policy_logits([tuple(context)])[0])
-    return rank_from_scores(scores, target)
-
-
 def hit_rate_samples(ranks: np.ndarray, k: int) -> np.ndarray:
     ranks = np.asarray(ranks)
     if k < 1 or np.any(ranks < 1):
@@ -136,39 +131,6 @@ def hit_rate_samples(ranks: np.ndarray, k: int) -> np.ndarray:
 
 def ndcg_samples(ranks: np.ndarray, k: int) -> np.ndarray:
     return hit_rate_samples(ranks, k) / np.log2(np.asarray(ranks, dtype=float) + 1.0)
-
-
-# -- greedy-reward metrics ---------------------------------------------------------
-
-
-def ar_at_1(model, triplets) -> float:
-    """Average observed reward claimed by the greedy action.
-
-    ``triplets`` is (contexts, actions, rewards); each logged reward counts
-    only when the model's greedy action equals the logged action.
-    """
-    contexts, actions, rewards = triplets
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("held-out triplets must be non-empty")
-    actions = np.asarray(actions, dtype=np.int64)
-    rewards = np.asarray(rewards, dtype=float)
-    greedy = np.asarray(model.greedy_actions(contexts))
-    return float((rewards * (greedy == actions)).mean())
-
-
-def iar_at_1(model, heldout, imputation) -> float:
-    """Average imputed reward of the greedy action over held-out contexts.
-
-    ``heldout`` is a sequence of (user, context) pairs; the imputation model
-    predicts the reward of the greedy item for that user.
-    """
-    pairs = list(heldout)
-    if not pairs:
-        raise ValueError("held-out contexts must be non-empty")
-    users = [u for u, _ in pairs]
-    greedy = model.greedy_actions([tuple(c) for _, c in pairs])
-    return float(imputed_rewards(imputation, users, greedy).mean())
 
 
 # -- divergences -------------------------------------------------------------------

@@ -84,11 +84,6 @@ class Workspace:
         ]
 
 
-def greedy_action(distribution: np.ndarray) -> int:
-    """Argmax over a (log-)probability or logit vector; ties take the smaller index."""
-    return int(np.argmax(np.asarray(distribution)))
-
-
 class SequenceModel:
     """Encoder plus policy and action-value heads over a shared state."""
 
@@ -148,10 +143,6 @@ class SequenceModel:
 
     def q_values(self, contexts) -> np.ndarray:
         return self.q_values_from(self.encode(contexts))
-
-    def greedy_actions(self, contexts) -> np.ndarray:
-        # np.argmax resolves ties toward the smaller index
-        return np.argmax(self.policy_logits(contexts), axis=-1)
 
     # -- backward ----------------------------------------------------------
 

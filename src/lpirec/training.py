@@ -404,6 +404,9 @@ def evaluate_examples(
     if imputation is not None:
         imputer, user_index = imputation
         user_of = np.zeros(len(sizes), dtype=np.int64)
+        missing = [sid for sid in present_ids if sid not in user_index]
+        if missing:
+            raise ValueError(f"sequence {missing[0]!r} is missing from the imputation's user index")
         user_of[present] = [user_index[sid] for sid in present_ids]
         metrics["iar_at_1"] = summarize(imputed_rewards(imputer, user_of[owners], greedy))
 
@@ -551,7 +554,7 @@ def run_eval(cfg: RunConfig, checkpoint_path: str, split_name: str) -> tuple[Met
     sits next to the model checkpoint (run_train leaves one there whenever the
     objective required it); otherwise the report carries a warning record.
     """
-    if split_name not in ("train", "validation", "test"):
+    if split_name not in SPLITS:
         raise ValueError(f"unknown split {split_name!r}")
     dataset = load_dataset(cfg)
     model = _load_checkpoint_for(checkpoint_path, dataset)

@@ -18,9 +18,11 @@ from lpirec.cli import main as cli_main
 from lpirec.config import RunConfig
 from lpirec.data import (
     Dataset,
+    ExampleColumns,
     Interaction,
     PreprocessRules,
     SessionSequence,
+    TrainingExample,
     expand_examples,
     preprocess,
     split,
@@ -38,7 +40,6 @@ from lpirec.estimators import (
     value_iteration,
 )
 from lpirec.metrics import (
-    ar_at_1,
     hit_rate_samples,
     js_divergence,
     kl_divergence,
@@ -65,6 +66,7 @@ from lpirec.synth import (
 )
 from lpirec.training import (
     batched_probs,
+    evaluate_examples,
     fit_behavior_model,
     load_dataset,
     train_model,
@@ -430,19 +432,19 @@ def test_09_ranking_reward_and_divergence_metrics_match_enumeration_oracles():
             expected = 1.0 / math.log2(oracle_rank + 1.0) if oracle_rank <= k else 0.0
             assert ndcg_samples(ranks[i : i + 1], k)[0] == pytest.approx(expected, abs=1e-12)
 
-    # Greedy observed reward on a hand fixture: an all-zero model always
-    # recommends item 0, so only logged action 0 collects its reward.
+    # The evaluation's greedy observed reward on a hand fixture: an all-zero
+    # model always recommends item 0, so only logged action 0 collects its reward.
     model = SequenceModel.initialize(
         EncoderConfig(dim=4, catalog_size=4, recency=0.8, tie_weights=True), seed=0
     )
     for values in model.params.values():
         values[...] = 0.0
-    triplets = (
-        [(0,), (1,), (2,), (3,)],
-        np.array([0, 1, 0, 2]),
-        np.array([0.4, 0.9, 0.8, 0.5]),
+    examples = ExampleColumns.of(
+        TrainingExample((x,), a, r, (x, a), False, True, "click", "s", 1)
+        for x, a, r in zip(range(4), [0, 1, 0, 2], [0.4, 0.9, 0.8, 0.5])
     )
-    assert ar_at_1(model, triplets) == pytest.approx(0.3, abs=1e-12)
+    report = evaluate_examples(model, examples, RunConfig())
+    assert report.metrics["ar_at_1"].value == pytest.approx(0.3, abs=1e-12)
 
     # Divergences against plain summation, plus range and symmetry.
     assert kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(

@@ -260,6 +260,14 @@ def test_min_count_event_restricts_which_events_count():
         preprocess([seq], rules_clicks)
 
 
+def test_a_count_event_the_data_does_not_hold_is_rejected_naming_it():
+    raw = [clicks("a", ["x", "y"]), clicks("b", ["y", "x"])]
+    with pytest.raises(
+        EmptyDatasetError, match=r"min_count_event 'clicks' is not among the events \('click',\)"
+    ):
+        preprocess(raw, PreprocessRules(min_count_event="clicks"))
+
+
 def test_preprocess_is_idempotent_on_random_inputs():
     rng = np.random.default_rng(0)
     rules = PreprocessRules(min_interactions=3, min_item_support=3, max_length=10)

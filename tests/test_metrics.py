@@ -1,4 +1,4 @@
-"""Ranking metrics, greedy-reward metrics, divergences, and report plumbing."""
+"""Ranking metrics, the evaluation's greedy-reward metrics, divergences, and report plumbing."""
 
 import json
 import tracemalloc
@@ -6,19 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpirec.encoder import EncoderConfig
+from lpirec.config import RunConfig
+from lpirec.data import ExampleColumns, TrainingExample
+from lpirec.encoder import EncodeCache, EncoderConfig
 from lpirec.estimators import SupportViolationError, empirical_behavior_tabular
 from lpirec.metrics import (
     _DIVERGENCE_CHUNK,
     _divergences,
     MetricsReport,
-    ar_at_1,
     breakdown_report,
     bucket_label,
     divergence_rows,
     hit_rate_samples,
     hr_at_k,
-    iar_at_1,
     js_divergence,
     kl_divergence,
     mean_divergence,
@@ -26,30 +26,48 @@ from lpirec.metrics import (
     ndcg_at_k,
     ndcg_samples,
     rank_from_scores,
-    rank_of,
     ranks_from_scores,
     summarize,
 )
 from lpirec.policy import SequenceModel
 from lpirec.synth import ImputationModel
+from lpirec.training import evaluate_examples
 
 
-class TableModel:
+class TableModel(SequenceModel):
     """Fixed per-context score rows standing in for a trained model."""
 
     def __init__(self, table):
         self.table = {tuple(k): np.asarray(v, dtype=float) for k, v in table.items()}
+        catalog = len(next(iter(self.table.values())))
+        super().__init__(EncoderConfig(catalog_size=catalog, dim=1), params={})
 
-    def policy_logits(self, contexts):
-        return np.stack([self.table[tuple(c)] for c in contexts])
+    def encode(self, contexts):
+        return EncodeCache(batch=self.as_batch(contexts), pool=None, state=None)
 
-    def probs(self, contexts):
-        logits = self.policy_logits(contexts)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+    def policy_logits_from(self, cache, out=None):
+        batch = cache.batch
+        rows = zip(batch.indices.tolist(), batch.lengths.tolist())
+        return np.stack([self.table[tuple(row[:n])] for row, n in rows], out=out)
 
-    def greedy_actions(self, contexts):
-        return np.argmax(self.policy_logits(contexts), axis=-1)
+
+def columns(contexts, actions, rewards=None, users=None):
+    """Examples as columns; user u logs as sequence id str(u) (default: one user)."""
+    rewards = np.zeros(len(actions)) if rewards is None else rewards
+    users = [0] * len(actions) if users is None else users
+    return ExampleColumns.of(
+        TrainingExample(tuple(c), int(a), float(r), (*c, int(a)), False, True, "click", str(u), 0)
+        for c, a, r, u in zip(contexts, actions, rewards, users)
+    )
+
+
+def greedy_reward(model, examples, imputer=None):
+    """The evaluation's AR@1, or its iAR@1 under ``imputer`` (user u at row u)."""
+    if imputer is None:
+        return evaluate_examples(model, examples, RunConfig()).metrics["ar_at_1"].value
+    user_index = {sid: int(sid) for sid in examples.owner_ids}
+    report = evaluate_examples(model, examples, RunConfig(), imputation=(imputer, user_index))
+    return report.metrics["iar_at_1"].value
 
 
 class RowPolicy:
@@ -189,11 +207,12 @@ def test_a_target_outside_the_scores_is_rejected_naming_its_row(target):
         rank_from_scores(scores[1], target)
 
 
-def test_rank_of_reads_model_scores():
+def test_evaluation_ranks_read_model_scores():
     model = TableModel({(0,): [0.5, 2.0, 1.0]})
-    assert rank_of(model, (0,), 1) == 1
-    assert rank_of(model, (0,), 2) == 2
-    assert rank_of(model, (0,), 0) == 3
+    for target, rank in ((1, 1), (2, 2), (0, 3)):
+        report = evaluate_examples(model, columns([(0,)], [target]), RunConfig(eval_ks="1,2,3"))
+        hits = [report.metrics[f"hr_at_{k}"].value for k in (1, 2, 3)]
+        assert hits == [float(rank <= k) for k in (1, 2, 3)]
 
 
 # -- greedy reward ----------------------------------------------------------------
@@ -201,14 +220,12 @@ def test_rank_of_reads_model_scores():
 
 def test_always_matching_greedy_with_unit_rewards_scores_one():
     model = TableModel({(0,): [0, 0, 9], (1,): [9, 0, 0]})
-    triplets = ([(0,), (1,)], np.array([2, 0]), np.array([1.0, 1.0]))
-    assert ar_at_1(model, triplets) == 1.0
+    assert greedy_reward(model, columns([(0,), (1,)], [2, 0], [1.0, 1.0])) == 1.0
 
 
 def test_never_matching_greedy_scores_zero():
     model = TableModel({(0,): [9, 0, 0]})
-    triplets = ([(0,), (0,)], np.array([1, 2]), np.array([1.0, 1.0]))
-    assert ar_at_1(model, triplets) == 0.0
+    assert greedy_reward(model, columns([(0,), (0,)], [1, 2], [1.0, 1.0])) == 0.0
 
 
 def test_mixed_case_matches_hand_count():
@@ -217,13 +234,23 @@ def test_mixed_case_matches_hand_count():
     actions = np.array([0, 1, 1, 2])
     rewards = np.array([0.2, 1.0, 1.0, 0.2])
     # matches at rows 0 and 2 -> (0.2 + 1.0) / 4
-    assert ar_at_1(model, (contexts, actions, rewards)) == pytest.approx(0.3, abs=1e-15)
+    assert greedy_reward(model, columns(contexts, actions, rewards)) == pytest.approx(
+        0.3, abs=1e-15
+    )
+
+
+def test_exact_tie_takes_smaller_index():
+    # the greedy action is a one-hot row's item, and the smaller of two tied items
+    model = TableModel({(0,): [0.0, 0.0, 1.0, 0.0], (1,): [0.2, 0.5, 0.5, 0.0]})
+    assert greedy_reward(model, columns([(0,), (1,)], [2, 1], [1.0, 1.0])) == 1.0
+    assert greedy_reward(model, columns([(1,)], [2], [1.0])) == 0.0
 
 
 def test_empty_heldout_rejected():
-    model = TableModel({})
-    with pytest.raises(ValueError, match="non-empty"):
-        ar_at_1(model, ([], np.array([]), np.array([])))
+    model = TableModel({(0,): [0.0, 0.0]})
+    for imputation in (None, (constant_imputer(0.0), {})):
+        with pytest.raises(ValueError, match="empty example set"):
+            evaluate_examples(model, columns([], []), RunConfig(), imputation=imputation)
 
 
 def test_logging_policy_claims_more_reward_than_uniform_on_its_own_logs():
@@ -243,9 +270,9 @@ def test_logging_policy_claims_more_reward_than_uniform_on_its_own_logs():
             contexts.append((x,))
             actions.append(a)
             rewards.append(reward_table[x, a])
-        triplets = (contexts, np.array(actions), np.array(rewards))
+        logs = columns(contexts, actions, rewards)
         uniform_model = TableModel({(x,): np.zeros(k) for x in range(6)})
-        if ar_at_1(logging_model, triplets) >= ar_at_1(uniform_model, triplets):
+        if greedy_reward(logging_model, logs) >= greedy_reward(uniform_model, logs):
             logging_wins += 1
     assert logging_wins >= 40  # expectation strongly favors the logging policy
 
@@ -271,7 +298,8 @@ def constant_imputer(value, n_users=2, n_items=2):
 
 def test_constant_imputation_returns_the_constant():
     model = TableModel({(0,): [1.0, 0.0]})
-    value = iar_at_1(model, [(0, (0,)), (1, (0,))], constant_imputer(0.7))
+    examples = columns([(0,), (0,)], [0, 0], users=[0, 1])
+    value = greedy_reward(model, examples, constant_imputer(0.7))
     assert value == pytest.approx(0.7, abs=1e-15)
 
 
@@ -281,7 +309,7 @@ def test_indicator_imputation_reduces_to_greedy_match_rate():
     indicator = imputer(np.eye(2)[[observed[0], observed[1]]], np.eye(2))
     model = TableModel({(0,): [0.0, 9.0], (1,): [0.0, 9.0]})
     # greedy picks item 1 for both users; only user 0 observed item 1
-    value = iar_at_1(model, [(0, (0,)), (1, (1,))], indicator)
+    value = greedy_reward(model, columns([(0,), (1,)], [0, 0], users=[0, 1]), indicator)
     assert value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -297,12 +325,8 @@ def test_imputed_reward_matches_enumeration_oracle():
     expected = np.mean(
         [impute_reward(mf, u, int(np.argmax(model.table[c]))) for u, c in pairs]
     )
-    assert iar_at_1(model, pairs, mf) == pytest.approx(float(expected), abs=1e-12)
-
-
-def test_empty_imputation_heldout_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
-        iar_at_1(TableModel({}), [], constant_imputer(0.0))
+    examples = columns([c for _, c in pairs], [0] * len(pairs), users=[u for u, _ in pairs])
+    assert greedy_reward(model, examples, mf) == pytest.approx(float(expected), abs=1e-12)
 
 
 # -- divergences ---------------------------------------------------------------------

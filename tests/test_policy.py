@@ -16,7 +16,6 @@ from lpirec.policy import (
     CheckpointVersionError,
     SequenceModel,
     Workspace,
-    greedy_action,
     load_checkpoint,
     log_softmax,
     save_checkpoint,
@@ -102,22 +101,15 @@ def test_a_workspace_carves_disjoint_arrays_from_one_reused_block():
 # -- greedy action ---------------------------------------------------------------
 
 
-def test_one_hot_distribution_selects_that_item():
-    assert greedy_action(np.array([0.0, 0.0, 1.0, 0.0])) == 2
-
-
-def test_exact_tie_takes_smaller_index():
-    assert greedy_action(np.array([0.2, 0.5, 0.5])) == 1
-
-
 def test_greedy_matches_raw_logit_argmax_and_ignores_temperature():
+    # the evaluation's greedy action is the logits' argmax; softmax keeps it at any temperature
     rng = np.random.default_rng(2)
     for _ in range(30):
         logits = rng.standard_normal(8)
-        a = greedy_action(softmax(logits))
-        assert a == int(np.argmax(logits))
+        a = int(np.argmax(logits))
+        assert int(np.argmax(softmax(logits))) == a
         for temp in (0.1, 3.0, 42.0):
-            assert greedy_action(softmax(logits * temp)) == a
+            assert int(np.argmax(softmax(logits * temp))) == a
 
 
 # -- model heads ---------------------------------------------------------------

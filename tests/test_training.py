@@ -816,6 +816,18 @@ def test_imputed_reward_metric_reads_the_fitted_pair():
     assert report.metrics["iar_at_1"].count == 3
 
 
+@pytest.mark.parametrize("user_index, missing", [({}, "a"), ({"a": 0, "b": 1}, "w06")])
+def test_an_imputation_pair_without_a_sequence_is_rejected_naming_it(user_index, missing):
+    examples = ExampleColumns.of([example((0,), 1, sequence_id="a"),
+                                  example((1,), 2, sequence_id="w06"),
+                                  example((2,), 3, sequence_id="b")])
+    imputation = fit_weighted_mf([(0, 0, 1.0), (1, 1, 0.0)], f=1, seed=0, n_users=2, n_items=4)
+    with pytest.raises(ValueError, match=f"sequence '{missing}' is missing from the imputation"):
+        evaluate_examples(
+            zeroed_model(catalog=4), examples, RunConfig(), imputation=(imputation, user_index)
+        )
+
+
 def test_sequence_lengths_add_the_count_breakdown():
     model = zeroed_model(catalog=4)
     examples = ExampleColumns.of([
