@@ -239,18 +239,10 @@ def test_mixed_case_matches_hand_count():
     )
 
 
-def test_exact_tie_takes_smaller_index():
-    # the greedy action is a one-hot row's item, and the smaller of two tied items
-    model = TableModel({(0,): [0.0, 0.0, 1.0, 0.0], (1,): [0.2, 0.5, 0.5, 0.0]})
-    assert greedy_reward(model, columns([(0,), (1,)], [2, 1], [1.0, 1.0])) == 1.0
-    assert greedy_reward(model, columns([(1,)], [2], [1.0])) == 0.0
-
-
 def test_empty_heldout_rejected():
     model = TableModel({(0,): [0.0, 0.0]})
-    for imputation in (None, (constant_imputer(0.0), {})):
-        with pytest.raises(ValueError, match="empty example set"):
-            evaluate_examples(model, columns([], []), RunConfig(), imputation=imputation)
+    with pytest.raises(ValueError, match="empty example set"):
+        evaluate_examples(model, columns([], []), RunConfig())
 
 
 def test_logging_policy_claims_more_reward_than_uniform_on_its_own_logs():
@@ -328,6 +320,14 @@ def test_imputed_reward_matches_enumeration_oracle():
     examples = columns([c for _, c in pairs], [0] * len(pairs), users=[u for u, _ in pairs])
     assert greedy_reward(model, examples, mf) == pytest.approx(float(expected), abs=1e-12)
 
+
+
+def test_empty_imputation_heldout_rejected():
+    model = TableModel({(0,): [0.0, 0.0]})
+    with pytest.raises(ValueError, match="empty example set"):
+        evaluate_examples(
+            model, columns([], []), RunConfig(), imputation=(constant_imputer(0.0), {})
+        )
 
 # -- divergences ---------------------------------------------------------------------
 

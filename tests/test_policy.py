@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lpirec import policy
-from lpirec.data import RaggedContexts
+from lpirec.config import RunConfig
+from lpirec.data import ExampleColumns, RaggedContexts, TrainingExample
 from lpirec.encoder import EncoderConfig, encode_backward, pad_contexts
 from lpirec.policy import (
     CheckpointError,
@@ -21,6 +22,7 @@ from lpirec.policy import (
     save_checkpoint,
     softmax,
 )
+from lpirec.training import evaluate_examples
 
 
 def make_model(catalog=7, dim=4, seed=0, **kwargs):
@@ -99,6 +101,31 @@ def test_a_workspace_carves_disjoint_arrays_from_one_reused_block():
 
 
 # -- greedy action ---------------------------------------------------------------
+
+
+def evaluated_greedy_action(logits):
+    """The item the evaluation's AR@1 credits for a model whose every row has ``logits``."""
+    model = make_model(catalog=len(logits))
+    for values in model.params.values():
+        values[...] = 0.0
+    model.params["head_b"][...] = logits
+    credited = []
+    for item in range(len(logits)):
+        examples = ExampleColumns.of(
+            [TrainingExample((0,), item, 1.0, (0, item), False, True, "click", "s", 0)]
+        )
+        report = evaluate_examples(model, examples, RunConfig())
+        credited += [item] * int(report.metrics["ar_at_1"].value)
+    assert len(credited) == 1
+    return credited[0]
+
+
+def test_one_hot_distribution_selects_that_item():
+    assert evaluated_greedy_action(np.array([0.0, 0.0, 1.0, 0.0])) == 2
+
+
+def test_exact_tie_takes_smaller_index():
+    assert evaluated_greedy_action(np.array([0.2, 0.5, 0.5])) == 1
 
 
 def test_greedy_matches_raw_logit_argmax_and_ignores_temperature():
